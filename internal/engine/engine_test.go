@@ -26,9 +26,9 @@ func newTestDB(t *testing.T, cfg Config) (*Engine, *Session) {
 	return e, s
 }
 
-func mustExec(t *testing.T, s *Session, sql string) *Result {
+func mustExec(t testing.TB, s *Session, sql string, args ...sqltypes.Value) *Result {
 	t.Helper()
-	res, err := s.Exec(sql)
+	res, err := s.Exec(sql, args...)
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", sql, err)
 	}

@@ -8,229 +8,435 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// evalEnv is the expression evaluation context: the current row (if any),
-// bound parameters, and the session for variables, sequences and
-// non-deterministic functions.
-type evalEnv struct {
-	s    *Session
-	tx   *Txn
-	cols map[string]int // lower-cased column name -> row index (single-table envs share the table's map read-only)
-	// qcols resolves "qualifier.column" for join envs, which merge two
-	// tables. Single-table envs leave it nil: their qualifier check is a
-	// string compare against alias/refName, so building an env per row
-	// costs no map construction (rowEnv was 73% of all allocations on the
-	// wire PK-lookup hot path before this split).
-	qcols          map[string]int
-	alias, refName string // lower-cased qualifiers a single-table env answers to
-	row            sqltypes.Row
-	args           []sqltypes.Value
+// Expressions are evaluated in two steps. bindLocked runs once per statement
+// execution: it resolves every column reference to a position in the
+// statement's row scope, every operator and function name to an opcode, and
+// every literal, ? parameter, session variable, procedure parameter and
+// (uncorrelated) IN subquery to its value. eval then runs the bound tree
+// directly on a stored row — no name lookup, no string compare and no
+// allocation per row — which is what lets a scan examine rows it will drop
+// without producing garbage for them.
+
+type opcode uint8
+
+const (
+	opConst opcode = iota // *val
+	opCol                 // row[col]
+	opAnd
+	opOr
+	opNot
+	opNeg
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAdd // opAdd..opMod index arithSym
+	opSub
+	opMul
+	opDiv
+	opMod
+	opLike
+	opIsNull
+	opBetween // operands: value, low, high
+	opIn      // operands: value, then the list
+	opNow
+	opRand
+	opNextval
+	opAbs
+	opLower
+	opUpper
+	opLength
+	opCoalesce
+	opBucket
+)
+
+var binaryOps = map[string]opcode{
+	"AND": opAnd, "OR": opOr, "LIKE": opLike,
+	"=": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe,
+	"+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod,
 }
 
-// evalBool evaluates a predicate with SQL semantics: NULL counts as false.
-func evalBool(env *evalEnv, e sqlparse.Expr) (bool, error) {
-	v, err := evalExpr(env, e)
+var arithSym = [...]string{"+", "-", "*", "/", "%"}
+
+// funcOps maps a scalar function to its opcode and the number of arguments
+// it reads (COALESCE reads all of them).
+var funcOps = map[string]struct {
+	op    opcode
+	arity int
+}{
+	"NOW": {opNow, 0}, "CURRENT_TIMESTAMP": {opNow, 0}, "RAND": {opRand, 0}, "RANDOM": {opRand, 0},
+	"ABS": {opAbs, 1}, "LOWER": {opLower, 1}, "UPPER": {opUpper, 1}, "LENGTH": {opLength, 1},
+	"MOD": {opMod, 2}, "BUCKET": {opBucket, 2}, "COALESCE": {opCoalesce, 0}, "NEXTVAL": {opNextval, 1},
+}
+
+// bexpr is one node of a bound expression. first is its first operand; the
+// others follow through next.
+type bexpr struct {
+	op    opcode
+	neg   bool            // IS NOT NULL, NOT BETWEEN, NOT IN
+	col   int32           // opCol: position in the scope's row
+	val   *sqltypes.Value // opConst: points into the AST, the arguments or a subquery result
+	first *bexpr
+	next  *bexpr
+}
+
+// scopeTable is one table of a statement's row scope; its columns sit at
+// row[off:off+len(t.Columns)]. It answers to its alias and to its name.
+type scopeTable struct {
+	t           *Table
+	alias, name string
+	off         int
+}
+
+// binder binds and evaluates the expressions of one statement execution. Its
+// scope is the statement's FROM table, that table joined with a second one,
+// or empty (INSERT values, SET, CALL arguments), where a bare identifier can
+// only be a procedure parameter. Nodes come from an inline slab, so binding a
+// typical statement costs the one allocation of the binder itself.
+type binder struct {
+	s      *Session
+	tx     *Txn // nil where subqueries are not allowed
+	args   []sqltypes.Value
+	tables []scopeTable
+	free   []bexpr // unused tail of the current slab
+	tabBuf [2]scopeTable
+	slab   [10]bexpr
+}
+
+func newBinder(s *Session, tx *Txn, args []sqltypes.Value) *binder {
+	b := &binder{s: s, tx: tx, args: args}
+	b.tables, b.free = b.tabBuf[:0], b.slab[:]
+	return b
+}
+
+// addTable appends t's columns to the row scope.
+func (b *binder) addTable(t *Table, alias, name string) {
+	off := 0
+	if n := len(b.tables); n > 0 {
+		off = b.tables[n-1].off + len(b.tables[n-1].t.Columns)
+	}
+	b.tables = append(b.tables, scopeTable{t: t, alias: alias, name: name, off: off})
+}
+
+func (b *binder) node(op opcode) *bexpr {
+	if len(b.free) == 0 {
+		b.free = make([]bexpr, 2*len(b.slab))
+	}
+	n := &b.free[0]
+	b.free = b.free[1:]
+	*n = bexpr{op: op}
+	return n
+}
+
+func (b *binder) constant(v *sqltypes.Value) *bexpr {
+	n := b.node(opConst)
+	n.val = v
+	return n
+}
+
+// constLocked evaluates an expression that is used exactly once and sees no
+// row. The nodes of the previous call are recycled, so a 500-row INSERT of
+// literals binds in place rather than building 2 000 nodes.
+func (b *binder) constLocked(e sqlparse.Expr) (sqltypes.Value, error) {
+	b.free = b.slab[:]
+	n, err := b.bindLocked(e)
 	if err != nil {
-		return false, err
+		return sqltypes.Null, err
 	}
-	if v.IsNull() {
-		return false, nil
-	}
-	return v.Bool(), nil
+	return b.eval(n, nil)
 }
 
-// evalExpr evaluates an expression tree.
-func evalExpr(env *evalEnv, e sqlparse.Expr) (sqltypes.Value, error) {
+// bindOptLocked binds an optional clause (WHERE); nil stays nil.
+func (b *binder) bindOptLocked(e sqlparse.Expr) (*bexpr, error) {
+	if e == nil {
+		return nil, nil
+	}
+	return b.bindLocked(e)
+}
+
+// bindLocked resolves e against the binder's scope. Unknown columns, unbound
+// parameters, unknown operators and functions are reported here, before any
+// row is examined. The engine lock is held: an IN subquery executes now.
+func (b *binder) bindLocked(e sqlparse.Expr) (*bexpr, error) {
 	switch e := e.(type) {
 	case *sqlparse.Literal:
-		return e.Val, nil
-	case *sqlparse.ColumnRef:
-		return env.lookupColumn(e)
+		return b.constant(&e.Val), nil
+	case *sqlparse.Param:
+		if e.Index >= len(b.args) {
+			return nil, fmt.Errorf("engine: parameter %d not bound", e.Index+1)
+		}
+		return b.constant(&b.args[e.Index]), nil
 	case *sqlparse.VarRef:
-		if env.s != nil {
-			if v, ok := env.s.vars[e.Name]; ok {
-				return v.val, nil
+		v := b.s.vars[e.Name].val // unset variables are NULL
+		return b.constant(&v), nil
+	case *sqlparse.ColumnRef:
+		return b.bindColumn(e)
+	case *sqlparse.BinaryExpr:
+		op, ok := binaryOps[e.Op]
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown operator %q", e.Op)
+		}
+		return b.bindOperandsLocked(b.node(op), e.Left, e.Right)
+	case *sqlparse.UnaryExpr:
+		switch e.Op {
+		case "-":
+			return b.bindOperandsLocked(b.node(opNeg), e.Operand)
+		case "NOT":
+			return b.bindOperandsLocked(b.node(opNot), e.Operand)
+		}
+		return nil, fmt.Errorf("engine: unknown unary operator %q", e.Op)
+	case *sqlparse.IsNullExpr:
+		n := b.node(opIsNull)
+		n.neg = e.Negate
+		return b.bindOperandsLocked(n, e.Operand)
+	case *sqlparse.BetweenExpr:
+		n := b.node(opBetween)
+		n.neg = e.Negate
+		return b.bindOperandsLocked(n, e.Operand, e.Lo, e.Hi)
+	case *sqlparse.InExpr:
+		n := b.node(opIn)
+		n.neg = e.Negate
+		if _, err := b.bindOperandsLocked(n, e.Left); err != nil {
+			return nil, err
+		}
+		if e.Sub == nil {
+			return b.bindOperandsLocked(n, e.List...)
+		}
+		// Uncorrelated subqueries only (the inner SELECT binds in a scope of
+		// its own), so one execution per statement serves every outer row.
+		if b.tx == nil {
+			return nil, fmt.Errorf("engine: subquery not allowed in this context")
+		}
+		res, err := b.s.execSelectLocked(b.tx, e.Sub, b.args)
+		if err != nil {
+			return nil, err
+		}
+		last := n.first
+		for _, row := range res.Rows {
+			if len(row) > 0 {
+				last.next = b.constant(&row[0])
+				last = last.next
+			}
+		}
+		return n, nil
+	case *sqlparse.FuncExpr:
+		name := strings.ToUpper(e.Name)
+		f, ok := funcOps[name]
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown function %q", name)
+		}
+		args := e.Args
+		switch {
+		case f.op == opNextval && len(args) != 1:
+			return nil, fmt.Errorf("engine: nextval wants one argument")
+		case len(args) < f.arity:
+			return nil, fmt.Errorf("engine: %s: missing argument %d", name, len(args)+1)
+		case f.op != opCoalesce:
+			args = args[:f.arity]
+		}
+		return b.bindOperandsLocked(b.node(f.op), args...)
+	}
+	return nil, fmt.Errorf("engine: cannot evaluate %T", e)
+}
+
+// bindOperandsLocked binds operands and appends them to n's operand list.
+func (b *binder) bindOperandsLocked(n *bexpr, operands ...sqlparse.Expr) (*bexpr, error) {
+	slot := &n.first
+	for *slot != nil {
+		slot = &(*slot).next
+	}
+	for _, e := range operands {
+		c, err := b.bindLocked(e)
+		if err != nil {
+			return nil, err
+		}
+		*slot, slot = c, &c.next
+	}
+	return n, nil
+}
+
+// bindColumn resolves a column reference: the first scope table that answers
+// to the qualifier (any table when there is none) and has the column wins;
+// an unqualified name no table has may be a procedure parameter.
+func (b *binder) bindColumn(cr *sqlparse.ColumnRef) (*bexpr, error) {
+	for i := range b.tables {
+		tab := &b.tables[i]
+		if cr.Qualifier != "" && !equalFold(cr.Qualifier, tab.alias) && !equalFold(cr.Qualifier, tab.name) {
+			continue
+		}
+		if ci := tab.t.colIndex(cr.Name); ci >= 0 {
+			n := b.node(opCol)
+			n.col = int32(tab.off + ci)
+			return n, nil
+		}
+	}
+	if cr.Qualifier == "" {
+		if v, ok := b.s.lookupParam(cr.Name); ok {
+			return b.constant(&v), nil
+		}
+	}
+	if len(b.tables) == 0 {
+		return nil, fmt.Errorf("engine: column %q referenced outside row context", cr.SQL())
+	}
+	return nil, fmt.Errorf("engine: unknown column %q", cr.SQL())
+}
+
+// matches reports whether row satisfies the predicate (nil accepts every
+// row) with SQL semantics: NULL counts as false.
+func (b *binder) matches(where *bexpr, row sqltypes.Row) (bool, error) {
+	if where == nil {
+		return true, nil
+	}
+	v, err := b.eval(where, row)
+	return !v.IsNull() && v.Bool(), err
+}
+
+// eval evaluates a bound expression on row (nil in a scope with no tables).
+// Operands are evaluated left to right and all of them before NULL is
+// considered; only AND, OR, COALESCE and an IN list stop early.
+func (b *binder) eval(n *bexpr, row sqltypes.Row) (sqltypes.Value, error) {
+	switch n.op {
+	case opConst:
+		return *n.val, nil
+	case opCol:
+		return row[n.col], nil
+	case opNow:
+		// Engine-local clock: replicas may disagree (§4.3.2).
+		return sqltypes.NewTime(b.s.eng.nowValue()), nil
+	case opRand:
+		// Engine-local PRNG: evaluated per call (and therefore per row in
+		// UPDATE t SET x = rand()), the canonical statement-replication
+		// divergence of §4.3.2.
+		return sqltypes.NewFloat(b.s.eng.randFloat()), nil
+	case opCoalesce:
+		for a := n.first; a != nil; a = a.next {
+			if v, err := b.eval(a, row); err != nil || !v.IsNull() {
+				return v, err
 			}
 		}
 		return sqltypes.Null, nil
-	case *sqlparse.Param:
-		if e.Index >= len(env.args) {
-			return sqltypes.Null, fmt.Errorf("engine: parameter %d not bound", e.Index+1)
-		}
-		return env.args[e.Index], nil
-	case *sqlparse.BinaryExpr:
-		return evalBinary(env, e)
-	case *sqlparse.UnaryExpr:
-		v, err := evalExpr(env, e.Operand)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		switch e.Op {
-		case "-":
-			if v.IsNull() {
-				return sqltypes.Null, nil
-			}
-			if v.Kind() == sqltypes.KindFloat {
-				return sqltypes.NewFloat(-v.Float()), nil
-			}
-			return sqltypes.NewInt(-v.Int()), nil
-		case "NOT":
-			if v.IsNull() {
-				return sqltypes.Null, nil
-			}
-			return sqltypes.NewBool(!v.Bool()), nil
-		}
-		return sqltypes.Null, fmt.Errorf("engine: unknown unary operator %q", e.Op)
-	case *sqlparse.IsNullExpr:
-		v, err := evalExpr(env, e.Operand)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		res := v.IsNull()
-		if e.Negate {
-			res = !res
-		}
-		return sqltypes.NewBool(res), nil
-	case *sqlparse.BetweenExpr:
-		v, err := evalExpr(env, e.Operand)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		lo, err := evalExpr(env, e.Lo)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		hi, err := evalExpr(env, e.Hi)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return sqltypes.Null, nil
-		}
-		in := sqltypes.Compare(v, lo) >= 0 && sqltypes.Compare(v, hi) <= 0
-		if e.Negate {
-			in = !in
-		}
-		return sqltypes.NewBool(in), nil
-	case *sqlparse.InExpr:
-		return evalIn(env, e)
-	case *sqlparse.FuncExpr:
-		return evalFunc(env, e)
 	}
-	return sqltypes.Null, fmt.Errorf("engine: cannot evaluate %T", e)
-}
-
-func (env *evalEnv) lookupColumn(cr *sqlparse.ColumnRef) (sqltypes.Value, error) {
-	if env.row == nil {
-		// Procedure parameters look like bare identifiers.
-		if env.s != nil {
-			if v, ok := env.s.lookupParam(cr.Name); ok && cr.Qualifier == "" {
-				return v, nil
-			}
-		}
-		return sqltypes.Null, fmt.Errorf("engine: column %q referenced outside row context", cr.SQL())
-	}
-	if cr.Qualifier != "" {
-		if env.qcols != nil {
-			if i, ok := env.qcols[toLower(cr.Qualifier)+"."+toLower(cr.Name)]; ok {
-				return env.row[i], nil
-			}
-			return sqltypes.Null, fmt.Errorf("engine: unknown column %q", cr.SQL())
-		}
-		if q := toLower(cr.Qualifier); q == env.alias || q == env.refName {
-			if i, ok := env.cols[toLower(cr.Name)]; ok {
-				return env.row[i], nil
-			}
-		}
-		return sqltypes.Null, fmt.Errorf("engine: unknown column %q", cr.SQL())
-	}
-	if i, ok := env.cols[toLower(cr.Name)]; ok {
-		return env.row[i], nil
-	}
-	// Fall back to procedure parameters, then session vars.
-	if env.s != nil {
-		if v, ok := env.s.lookupParam(cr.Name); ok {
-			return v, nil
-		}
-	}
-	return sqltypes.Null, fmt.Errorf("engine: unknown column %q", cr.Name)
-}
-
-func evalBinary(env *evalEnv, e *sqlparse.BinaryExpr) (sqltypes.Value, error) {
-	switch e.Op {
-	case "AND":
-		lv, err := evalBool(env, e.Left)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if !lv {
-			return sqltypes.NewBool(false), nil
-		}
-		rv, err := evalBool(env, e.Right)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewBool(rv), nil
-	case "OR":
-		lv, err := evalBool(env, e.Left)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if lv {
-			return sqltypes.NewBool(true), nil
-		}
-		rv, err := evalBool(env, e.Right)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return sqltypes.NewBool(rv), nil
-	}
-	l, err := evalExpr(env, e.Left)
+	l, err := b.eval(n.first, row)
 	if err != nil {
 		return sqltypes.Null, err
 	}
-	r, err := evalExpr(env, e.Right)
-	if err != nil {
-		return sqltypes.Null, err
+	second := n.first.next
+	switch n.op {
+	case opAnd, opOr:
+		// Kleene logic: FALSE absorbs AND and TRUE absorbs OR even when the
+		// other side is NULL; otherwise a NULL operand makes the result NULL.
+		absorbing := n.op == opOr
+		if !l.IsNull() && l.Bool() == absorbing {
+			return sqltypes.NewBool(absorbing), nil
+		}
+		r, err := b.eval(second, row)
+		switch {
+		case err != nil:
+			return sqltypes.Null, err
+		case !r.IsNull() && r.Bool() == absorbing:
+			return sqltypes.NewBool(absorbing), nil
+		case l.IsNull() || r.IsNull():
+			return sqltypes.Null, nil
+		}
+		return sqltypes.NewBool(!absorbing), nil
+	case opIsNull:
+		return sqltypes.NewBool(l.IsNull() != n.neg), nil
+	case opNextval:
+		return b.s.nextval(l.Str())
+	case opIn:
+		if l.IsNull() {
+			return sqltypes.Null, nil
+		}
+		found := false
+		for a := second; a != nil && !found; a = a.next {
+			v, err := b.eval(a, row)
+			if err != nil {
+				return sqltypes.Null, err
+			}
+			found = sqltypes.Equal(v, l)
+		}
+		return sqltypes.NewBool(found != n.neg), nil
 	}
-	switch e.Op {
-	case "+", "-", "*", "/", "%":
-		return sqltypes.Arith(e.Op, l, r)
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return sqltypes.Null, nil
+	var r sqltypes.Value
+	if second != nil {
+		if r, err = b.eval(second, row); err != nil {
+			return sqltypes.Null, err
 		}
-		c := sqltypes.Compare(l, r)
-		var ok bool
-		switch e.Op {
-		case "=":
-			ok = c == 0
-		case "!=":
-			ok = c != 0
-		case "<":
-			ok = c < 0
-		case "<=":
-			ok = c <= 0
-		case ">":
-			ok = c > 0
-		case ">=":
-			ok = c >= 0
+	}
+	if n.op == opBetween {
+		hi, err := b.eval(second.next, row)
+		if err != nil || l.IsNull() || r.IsNull() || hi.IsNull() {
+			return sqltypes.Null, err
 		}
-		return sqltypes.NewBool(ok), nil
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return sqltypes.Null, nil
+		in := sqltypes.Compare(l, r) >= 0 && sqltypes.Compare(l, hi) <= 0
+		return sqltypes.NewBool(in != n.neg), nil
+	}
+	if l.IsNull() || (second != nil && r.IsNull()) {
+		return sqltypes.Null, nil
+	}
+	switch n.op {
+	case opNot:
+		return sqltypes.NewBool(!l.Bool()), nil
+	case opNeg:
+		if l.Kind() == sqltypes.KindFloat {
+			return sqltypes.NewFloat(-l.Float()), nil
 		}
+		return sqltypes.NewInt(-l.Int()), nil
+	case opEq, opNe, opLt, opLe, opGt, opGe:
+		return sqltypes.NewBool(compareHolds(n.op, sqltypes.Compare(l, r))), nil
+	case opAdd, opSub, opMul, opDiv, opMod:
+		return sqltypes.Arith(arithSym[n.op-opAdd], l, r)
+	case opLike:
 		return sqltypes.NewBool(likeMatch(l.Str(), r.Str())), nil
+	case opAbs:
+		if l.Kind() == sqltypes.KindFloat {
+			if f := l.Float(); f < 0 {
+				return sqltypes.NewFloat(-f), nil
+			}
+			return l, nil
+		}
+		if i := l.Int(); i < 0 {
+			return sqltypes.NewInt(-i), nil
+		}
+		return sqltypes.NewInt(l.Int()), nil
+	case opLower:
+		return sqltypes.NewString(strings.ToLower(l.Str())), nil
+	case opUpper:
+		return sqltypes.NewString(strings.ToUpper(l.Str())), nil
+	case opLength:
+		return sqltypes.NewInt(int64(len(l.Str()))), nil
+	case opBucket:
+		// BUCKET(v, n) is the router's hash-bucket function (HashValue % n),
+		// exposed to the engine so migration ownership predicates evaluate
+		// with exactly the routing layer's arithmetic.
+		if r.Int() <= 0 {
+			return sqltypes.Null, fmt.Errorf("engine: BUCKET needs a positive bucket count, got %d", r.Int())
+		}
+		return sqltypes.NewInt(int64(sqltypes.HashValue(l) % uint64(r.Int()))), nil
 	}
-	return sqltypes.Null, fmt.Errorf("engine: unknown operator %q", e.Op)
+	return sqltypes.Null, fmt.Errorf("engine: cannot evaluate opcode %d", n.op)
+}
+
+func compareHolds(op opcode, c int) bool {
+	switch op {
+	case opEq:
+		return c == 0
+	case opNe:
+		return c != 0
+	case opLt:
+		return c < 0
+	case opLe:
+		return c <= 0
+	case opGt:
+		return c > 0
+	}
+	return c >= 0
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards.
-func likeMatch(s, pattern string) bool {
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
+func likeMatch(s, p string) bool {
 	for len(p) > 0 {
 		switch p[0] {
 		case '%':
@@ -242,7 +448,7 @@ func likeRec(s, p string) bool {
 				return true
 			}
 			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
+				if likeMatch(s[i:], p) {
 					return true
 				}
 			}
@@ -262,177 +468,18 @@ func likeRec(s, p string) bool {
 	return len(s) == 0
 }
 
-func evalIn(env *evalEnv, e *sqlparse.InExpr) (sqltypes.Value, error) {
-	v, err := evalExpr(env, e.Left)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	if v.IsNull() {
-		return sqltypes.Null, nil
-	}
-	var found bool
-	if e.Sub != nil {
-		if env.s == nil || env.tx == nil {
-			return sqltypes.Null, fmt.Errorf("engine: subquery not allowed in this context")
-		}
-		// Uncorrelated subqueries only: evaluated once per outer row for
-		// simplicity (the engine is a substrate, not an optimizer).
-		// lint:holds env.s.eng.mu — expression evaluation only runs inside execLocked
-		res, err := env.s.execSelectLocked(env.tx, e.Sub, env.args)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		for _, row := range res.Rows {
-			if len(row) > 0 && sqltypes.Equal(row[0], v) {
-				found = true
-				break
-			}
-		}
-	} else {
-		for _, item := range e.List {
-			iv, err := evalExpr(env, item)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if sqltypes.Equal(iv, v) {
-				found = true
-				break
-			}
-		}
-	}
-	if e.Negate {
-		found = !found
-	}
-	return sqltypes.NewBool(found), nil
-}
-
-func evalFunc(env *evalEnv, e *sqlparse.FuncExpr) (sqltypes.Value, error) {
-	name := strings.ToUpper(e.Name)
-	argVal := func(i int) (sqltypes.Value, error) {
-		if i >= len(e.Args) {
-			return sqltypes.Null, fmt.Errorf("engine: %s: missing argument %d", name, i+1)
-		}
-		return evalExpr(env, e.Args[i])
-	}
-	switch name {
-	case "NOW", "CURRENT_TIMESTAMP":
-		// Engine-local clock: replicas may disagree (§4.3.2).
-		if env.s == nil {
-			return sqltypes.Null, fmt.Errorf("engine: %s needs a session", name)
-		}
-		return sqltypes.NewTime(env.s.eng.nowValue()), nil
-	case "RAND", "RANDOM":
-		if env.s == nil {
-			return sqltypes.Null, fmt.Errorf("engine: %s needs a session", name)
-		}
-		// Engine-local PRNG: evaluated per call (and therefore per row in
-		// UPDATE t SET x = rand()), the canonical statement-replication
-		// divergence of §4.3.2.
-		return sqltypes.NewFloat(env.s.eng.randFloat()), nil
-	case "NEXTVAL":
-		return evalNextval(env, e)
-	case "ABS":
-		v, err := argVal(0)
-		if err != nil || v.IsNull() {
-			return v, err
-		}
-		if v.Kind() == sqltypes.KindFloat {
-			f := v.Float()
-			if f < 0 {
-				f = -f
-			}
-			return sqltypes.NewFloat(f), nil
-		}
-		n := v.Int()
-		if n < 0 {
-			n = -n
-		}
-		return sqltypes.NewInt(n), nil
-	case "LOWER":
-		v, err := argVal(0)
-		if err != nil || v.IsNull() {
-			return v, err
-		}
-		return sqltypes.NewString(strings.ToLower(v.Str())), nil
-	case "UPPER":
-		v, err := argVal(0)
-		if err != nil || v.IsNull() {
-			return v, err
-		}
-		return sqltypes.NewString(strings.ToUpper(v.Str())), nil
-	case "LENGTH":
-		v, err := argVal(0)
-		if err != nil || v.IsNull() {
-			return v, err
-		}
-		return sqltypes.NewInt(int64(len(v.Str()))), nil
-	case "COALESCE":
-		for i := range e.Args {
-			v, err := argVal(i)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return sqltypes.Null, nil
-	case "MOD":
-		a, err := argVal(0)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		b, err := argVal(1)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		return sqltypes.Arith("%", a, b)
-	case "BUCKET":
-		// BUCKET(v, n) is the router's hash-bucket function (HashValue % n),
-		// exposed to the engine so migration ownership predicates evaluate
-		// with exactly the routing layer's arithmetic.
-		v, err := argVal(0)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		n, err := argVal(1)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if v.IsNull() || n.IsNull() {
-			return sqltypes.Null, nil
-		}
-		if n.Int() <= 0 {
-			return sqltypes.Null, fmt.Errorf("engine: BUCKET needs a positive bucket count, got %d", n.Int())
-		}
-		return sqltypes.NewInt(int64(sqltypes.HashValue(v) % uint64(n.Int()))), nil
-	}
-	return sqltypes.Null, fmt.Errorf("engine: unknown function %q", name)
-}
-
-// evalNextval advances a sequence. Sequences are non-transactional: the
-// value is consumed immediately and never returned on rollback, producing
-// holes (§4.2.3).
-func evalNextval(env *evalEnv, e *sqlparse.FuncExpr) (sqltypes.Value, error) {
-	if env.s == nil {
-		return sqltypes.Null, fmt.Errorf("engine: nextval needs a session")
-	}
-	if len(e.Args) != 1 {
-		return sqltypes.Null, fmt.Errorf("engine: nextval wants one argument")
-	}
-	nameV, err := evalExpr(env, e.Args[0])
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	name := nameV.Str()
-	dbName := env.s.currentDB
+// nextval advances a sequence. Sequences are non-transactional: the value is
+// consumed immediately and never returned on rollback, producing holes
+// (§4.2.3).
+func (s *Session) nextval(name string) (sqltypes.Value, error) {
+	dbName := s.currentDB
 	if i := strings.IndexByte(name, '.'); i > 0 {
 		dbName, name = name[:i], name[i+1:]
 	}
 	if dbName == "" {
 		return sqltypes.Null, ErrNoDatabase
 	}
-	d, err := env.s.eng.database(dbName)
+	d, err := s.eng.database(dbName)
 	if err != nil {
 		return sqltypes.Null, err
 	}

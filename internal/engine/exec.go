@@ -86,27 +86,61 @@ func (s *Session) checkTempUse(t *Table, implicitTx bool) error {
 	return nil
 }
 
+// dmlTableLocked resolves the table a DML statement targets, enforces the
+// temp-table restriction and, for serializable sessions, takes the table lock.
+func (s *Session) dmlTableLocked(tx *Txn, ref sqlparse.TableRef, exclusive bool) (*Table, tableKey, error) {
+	t, key, err := s.lookupTableLocked(ref)
+	if err != nil {
+		return nil, key, err
+	}
+	if err := s.checkTempUse(t, false); err != nil {
+		return nil, key, err
+	}
+	if s.iso == Serializable && !t.Temp {
+		if err := s.eng.lockTable(tx, t, exclusive); err != nil {
+			return nil, key, err
+		}
+	}
+	return t, key, nil
+}
+
 // scanRow is one visible row during execution.
 type scanRow struct {
 	rowID int64
 	data  sqltypes.Row
 }
 
-// scanInto appends the rows of t visible to tx — with the transaction's own
-// pending changes applied — to out (typically a pooled buffer from
-// getScanBuf) and returns the filled slice.
-func (s *Session) scanInto(out []scanRow, tx *Txn, key tableKey, t *Table) []scanRow {
+// filterLocked appends to out (typically a pooled buffer from getScanBuf)
+// the rows of t visible to tx — with the transaction's own pending changes
+// applied — that satisfy where; a nil where keeps every row. It is the one
+// scan SELECT, UPDATE and DELETE share. A primary-key point predicate probes
+// the pk index (O(1)); anything else walks rowOrder and tests each visible
+// version where it is stored, so a row the predicate rejects costs neither a
+// buffer slot nor an allocation.
+func (s *Session) filterLocked(b *binder, tx *Txn, key tableKey, t *Table, where *bexpr, out []scanRow) ([]scanRow, error) {
+	if v, ok := pkPointValue(t, where); ok {
+		if v.IsNull() {
+			return out, nil
+		}
+		return s.pkLookupLocked(tx, key, t, v, out), nil
+	}
 	ov := tx.overlay[key]
 	for _, id := range t.rowOrder {
+		var row sqltypes.Row
 		if ent, ok := ov[id]; ok {
 			if ent.deleted {
 				continue
 			}
-			out = append(out, scanRow{rowID: id, data: ent.data})
+			row = ent.data
+		} else if v := t.rows[id].visible(tx.snapTS); v != nil {
+			row = v.data
+		} else {
 			continue
 		}
-		if v := t.rows[id].visible(tx.snapTS); v != nil {
-			out = append(out, scanRow{rowID: id, data: v.data})
+		if ok, err := b.matches(where, row); err != nil {
+			return out, err
+		} else if ok {
+			out = append(out, scanRow{rowID: id, data: row})
 		}
 	}
 	// Rows inserted by this transaction that are not yet in rowOrder.
@@ -118,10 +152,14 @@ func (s *Session) scanInto(out []scanRow, tx *Txn, key tableKey, t *Table) []sca
 			continue
 		}
 		if ent := ov[op.rowID]; ent != nil && !ent.deleted {
-			out = append(out, scanRow{rowID: op.rowID, data: ent.data})
+			if ok, err := b.matches(where, ent.data); err != nil {
+				return out, err
+			} else if ok {
+				out = append(out, scanRow{rowID: op.rowID, data: ent.data})
+			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // coerce converts v to the column kind, erroring on NOT NULL violations.
@@ -176,7 +214,7 @@ func (s *Session) uniqueViolationLocked(tx *Txn, key tableKey, t *Table, candida
 		if pk.IsNull() {
 			return nil
 		}
-		for _, sr := range s.pkLookupLocked(tx, key, t, pk) {
+		for _, sr := range s.pkLookupLocked(tx, key, t, pk, nil) {
 			if sr.rowID != excludeID {
 				return fmt.Errorf("%w: %s.%s column %s value %v",
 					ErrDuplicateKey, key.db, key.table, t.Columns[t.pkCol].Name, pk)
@@ -184,7 +222,7 @@ func (s *Session) uniqueViolationLocked(tx *Txn, key tableKey, t *Table, candida
 		}
 		return nil
 	}
-	rows := s.scanInto(s.getScanBuf(), tx, key, t)
+	rows, _ := s.filterLocked(nil, tx, key, t, nil, s.getScanBuf()) // no predicate, so no error
 	defer s.putScanBuf(rows)
 	for _, sr := range rows {
 		if sr.rowID == excludeID {
@@ -204,17 +242,9 @@ func (s *Session) uniqueViolationLocked(tx *Txn, key tableKey, t *Table, candida
 }
 
 func (s *Session) execInsertLocked(tx *Txn, st *sqlparse.Insert, args []sqltypes.Value, depth int) (*Result, error) {
-	t, key, err := s.lookupTableLocked(st.Table)
+	t, key, err := s.dmlTableLocked(tx, st.Table, true)
 	if err != nil {
 		return nil, err
-	}
-	if err := s.checkTempUse(t, false); err != nil {
-		return nil, err
-	}
-	if s.iso == Serializable && !t.Temp {
-		if err := s.eng.lockTable(tx, t, true); err != nil {
-			return nil, err
-		}
 	}
 
 	// Map the statement's column list to table positions.
@@ -234,15 +264,18 @@ func (s *Session) execInsertLocked(tx *Txn, st *sqlparse.Insert, args []sqltypes
 	}
 
 	res := &Result{}
-	env := &evalEnv{s: s, tx: tx, args: args}
+	b := newBinder(s, tx, args)
+	given := make([]bool, len(t.Columns))
 	for _, exprRow := range st.Rows {
 		if len(exprRow) != len(colIdx) {
 			return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(exprRow), len(colIdx))
 		}
 		row := make(sqltypes.Row, len(t.Columns))
-		given := make([]bool, len(t.Columns))
+		for i := range given {
+			given[i] = false
+		}
 		for vi, e := range exprRow {
-			v, err := evalExpr(env, e)
+			v, err := b.constLocked(e)
 			if err != nil {
 				return nil, err
 			}
@@ -261,7 +294,7 @@ func (s *Session) execInsertLocked(tx *Txn, st *sqlparse.Insert, args []sqltypes
 				row[i] = sqltypes.NewInt(t.autoInc)
 				res.LastInsertID = t.autoInc
 			case !given[i] && c.Default != nil:
-				v, err := evalExpr(env, c.Default)
+				v, err := b.constLocked(c.Default)
 				if err != nil {
 					return nil, err
 				}
@@ -305,88 +338,71 @@ func (s *Session) execInsertLocked(tx *Txn, st *sqlparse.Insert, args []sqltypes
 }
 
 func (s *Session) execUpdateLocked(tx *Txn, st *sqlparse.Update, args []sqltypes.Value, depth int) (*Result, error) {
-	t, key, err := s.lookupTableLocked(st.Table)
+	t, key, err := s.dmlTableLocked(tx, st.Table, true)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.checkTempUse(t, false); err != nil {
+	b := newBinder(s, tx, args)
+	b.addTable(t, "", st.Table.Name)
+	where, err := b.bindOptLocked(st.Where)
+	if err != nil {
 		return nil, err
 	}
-	if s.iso == Serializable && !t.Temp {
-		if err := s.eng.lockTable(tx, t, true); err != nil {
-			return nil, err
-		}
-	}
 	setIdx := make([]int, len(st.Set))
+	setVal := make([]*bexpr, len(st.Set))
+	changedKey := false // re-check uniqueness if a key column changes
 	for i, a := range st.Set {
 		ci := t.colIndex(a.Column)
 		if ci < 0 {
 			return nil, fmt.Errorf("engine: unknown column %q in table %q", a.Column, t.Name)
 		}
 		setIdx[i] = ci
+		changedKey = changedKey || t.Columns[ci].PrimaryKey || t.Columns[ci].Unique
+		if setVal[i], err = b.bindLocked(a.Value); err != nil {
+			return nil, err
+		}
 	}
 
-	res := &Result{}
-	rows, pooled := s.candidateRowsLocked(tx, key, t, st.Where, args, st.Table.Name)
-	if pooled {
-		defer s.putScanBuf(rows)
+	// All of WHERE is evaluated before the first row changes.
+	rows, err := s.filterLocked(b, tx, key, t, where, s.getScanBuf())
+	defer func() { s.putScanBuf(rows) }()
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{}
 	for _, sr := range rows {
-		env := s.rowEnv(tx, t, st.Table, "", sr.data, args)
-		if st.Where != nil {
-			ok, err := evalBool(env, st.Where)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
 		if !t.Temp && s.iso != Serializable {
 			if err := s.eng.lockRow(tx, t, sr.rowID); err != nil {
 				return nil, err
 			}
 			// The row may have changed while we waited. Read-committed
-			// re-reads the latest committed version; snapshot isolation
-			// proceeds and relies on first-committer-wins at commit.
+			// re-reads the latest committed version and re-evaluates the
+			// bound predicate on it; snapshot isolation proceeds and relies
+			// on first-committer-wins at commit.
 			if tx.iso == ReadCommitted {
 				if v := t.rows[sr.rowID]; v != nil {
-					if latest := v.visible(s.eng.clock); latest != nil {
-						sr.data = latest.data
-						env = s.rowEnv(tx, t, st.Table, "", sr.data, args)
-						if st.Where != nil {
-							ok, err := evalBool(env, st.Where)
-							if err != nil {
-								return nil, err
-							}
-							if !ok {
-								s.eng.releaseRow(tx, t, sr.rowID)
-								continue
-							}
-						}
-					} else {
+					latest := v.visible(s.eng.clock)
+					if latest == nil {
 						continue // deleted meanwhile
+					}
+					sr.data = latest.data
+					if ok, err := b.matches(where, sr.data); err != nil {
+						return nil, err
+					} else if !ok {
+						s.eng.releaseRow(tx, t, sr.rowID)
+						continue
 					}
 				}
 			}
 		}
 		newRow := sr.data.Clone()
-		for i, a := range st.Set {
-			v, err := evalExpr(env, a.Value)
+		for i, ci := range setIdx {
+			v, err := b.eval(setVal[i], sr.data)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerce(t.Columns[setIdx[i]], v)
-			if err != nil {
+			if newRow[ci], err = coerce(t.Columns[ci], v); err != nil {
 				return nil, err
-			}
-			newRow[setIdx[i]] = cv
-		}
-		// Re-check uniqueness if a key column changed.
-		changedKey := false
-		for _, ci := range setIdx {
-			if t.Columns[ci].PrimaryKey || t.Columns[ci].Unique {
-				changedKey = true
 			}
 		}
 		if changedKey {
@@ -428,34 +444,23 @@ func (s *Session) execUpdateLocked(tx *Txn, st *sqlparse.Update, args []sqltypes
 }
 
 func (s *Session) execDeleteLocked(tx *Txn, st *sqlparse.Delete, args []sqltypes.Value, depth int) (*Result, error) {
-	t, key, err := s.lookupTableLocked(st.Table)
+	t, key, err := s.dmlTableLocked(tx, st.Table, true)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.checkTempUse(t, false); err != nil {
+	b := newBinder(s, tx, args)
+	b.addTable(t, "", st.Table.Name)
+	where, err := b.bindOptLocked(st.Where)
+	if err != nil {
 		return nil, err
 	}
-	if s.iso == Serializable && !t.Temp {
-		if err := s.eng.lockTable(tx, t, true); err != nil {
-			return nil, err
-		}
+	rows, err := s.filterLocked(b, tx, key, t, where, s.getScanBuf())
+	defer func() { s.putScanBuf(rows) }()
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{}
-	rows, pooled := s.candidateRowsLocked(tx, key, t, st.Where, args, st.Table.Name)
-	if pooled {
-		defer s.putScanBuf(rows)
-	}
 	for _, sr := range rows {
-		env := s.rowEnv(tx, t, st.Table, "", sr.data, args)
-		if st.Where != nil {
-			ok, err := evalBool(env, st.Where)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
 		if t.Temp {
 			delete(t.rows, sr.rowID)
 			for i, id := range t.rowOrder {
@@ -535,320 +540,311 @@ func (s *Session) fireTriggersLocked(tx *Txn, key tableKey, event string, depth 
 
 var aggregateFuncs = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
 
-func isAggregateItem(e sqlparse.Expr) bool {
-	if f, ok := e.(*sqlparse.FuncExpr); ok && aggregateFuncs[f.Name] {
-		return true
-	}
-	return false
+// boundItem is one bound projection of a SELECT: *, an aggregate over e
+// (COUNT(*) has star set and no e), or a plain expression.
+type boundItem struct {
+	star bool
+	agg  string // "" unless the item is COUNT/SUM/AVG/MIN/MAX(...)
+	e    *bexpr
 }
 
-// joinedRow carries the merged row of FROM (+ JOIN) with lookup metadata.
-type joinedRow struct {
-	data  sqltypes.Row
-	left  scanRow // for FOR UPDATE locking on the FROM table
-	valid bool
-}
-
+// execSelectLocked runs a SELECT as bind → filter → project: every expression
+// is bound once against the FROM scope, filterLocked (or the join loop)
+// leaves the surviving rows in a pooled buffer, and grouping, ordering and
+// projection evaluate bound expressions on those rows. Only result rows are
+// allocated.
 func (s *Session) execSelectLocked(tx *Txn, st *sqlparse.Select, args []sqltypes.Value) (*Result, error) {
+	b := newBinder(s, tx, args)
+	rows := s.getScanBuf()
+	defer func() { s.putScanBuf(rows) }()
 	if st.NoTable {
-		env := &evalEnv{s: s, args: args}
-		res := &Result{}
-		row := make(sqltypes.Row, 0, len(st.Items))
-		for _, it := range st.Items {
-			if it.Star {
-				return nil, fmt.Errorf("engine: SELECT * requires FROM")
-			}
-			v, err := evalExpr(env, it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-			res.Columns = append(res.Columns, itemName(it))
-		}
-		res.Rows = append(res.Rows, row)
-		return res, nil
-	}
-
-	t, key, err := s.lookupTableLocked(st.From)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.checkTempUse(t, false); err != nil {
-		return nil, err
-	}
-	if s.iso == Serializable && !t.Temp {
-		if err := s.eng.lockTable(tx, t, st.ForUpdate); err != nil {
-			return nil, err
-		}
-	}
-
-	leftAlias := st.FromAlias
-	if leftAlias == "" {
-		leftAlias = st.From.Name
-	}
-
-	var envRows []*evalEnv
-	var lockTargets []scanRow
-
-	if st.Join == nil {
-		// Point predicates on the primary key resolve through the pk index
-		// (O(1)) instead of materializing the table; everything else scans
-		// into a pooled buffer. WHERE is still evaluated per candidate row.
-		rows, pooled := s.candidateRowsLocked(tx, key, t, st.Where, args, leftAlias, st.From.Name)
-		if pooled {
-			defer s.putScanBuf(rows)
-		}
-		for _, sr := range rows {
-			env := s.rowEnv(tx, t, st.From, leftAlias, sr.data, args)
-			if st.Where != nil {
-				ok, err := evalBool(env, st.Where)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			envRows = append(envRows, env)
-			lockTargets = append(lockTargets, sr)
-		}
+		rows = append(rows, scanRow{}) // one row of no columns
 	} else {
-		t2, key2, err := s.lookupTableLocked(st.Join.Table)
+		t, key, err := s.dmlTableLocked(tx, st.From, st.ForUpdate)
 		if err != nil {
 			return nil, err
 		}
-		if s.iso == Serializable && !t2.Temp {
-			if err := s.eng.lockTable(tx, t2, false); err != nil {
-				return nil, err
+		b.addTable(t, st.FromAlias, st.From.Name)
+		if st.Join != nil {
+			rows, err = s.joinLocked(b, tx, st, key, t, rows)
+		} else {
+			var where *bexpr
+			if where, err = b.bindOptLocked(st.Where); err == nil {
+				rows, err = s.filterLocked(b, tx, key, t, where, rows)
 			}
 		}
-		rightAlias := st.Join.Alias
-		if rightAlias == "" {
-			rightAlias = st.Join.Table.Name
-		}
-		leftRows := s.scanInto(s.getScanBuf(), tx, key, t)
-		defer s.putScanBuf(leftRows)
-		rightRows := s.scanInto(s.getScanBuf(), tx, key2, t2)
-		defer s.putScanBuf(rightRows)
-		for _, lr := range leftRows {
-			for _, rr := range rightRows {
-				env := s.joinEnv(tx, t, leftAlias, lr.data, t2, rightAlias, rr.data, args)
-				ok, err := evalBool(env, st.Join.On)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				if st.Where != nil {
-					ok, err := evalBool(env, st.Where)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				envRows = append(envRows, env)
-				lockTargets = append(lockTargets, lr)
-			}
-		}
-	}
-
-	if st.ForUpdate && !t.Temp && s.iso != Serializable {
-		for _, sr := range lockTargets {
-			if err := s.eng.lockRow(tx, t, sr.rowID); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Aggregate path.
-	hasAgg := len(st.GroupBy) > 0
-	for _, it := range st.Items {
-		if !it.Star && isAggregateItem(it.Expr) {
-			hasAgg = true
-		}
-	}
-	if hasAgg {
-		return s.aggregateSelect(st, envRows)
-	}
-
-	// ORDER BY evaluates in row scope (pre-projection).
-	if len(st.OrderBy) > 0 {
-		if err := sortEnvRows(envRows, st.OrderBy); err != nil {
+		if err != nil {
 			return nil, err
 		}
+		if st.ForUpdate && !t.Temp && s.iso != Serializable {
+			for _, sr := range rows {
+				if err := s.eng.lockRow(tx, t, sr.rowID); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 
-	res := &Result{}
-	for _, it := range st.Items {
+	res := &Result{Columns: make([]string, 0, len(st.Items))}
+	items := make([]boundItem, len(st.Items))
+	hasAgg := len(st.GroupBy) > 0
+	for i, it := range st.Items {
 		if it.Star {
-			// Expanded per-row below; headers from schema.
-			for _, c := range t.Columns {
-				res.Columns = append(res.Columns, c.Name)
+			if st.NoTable {
+				return nil, fmt.Errorf("engine: SELECT * requires FROM")
 			}
-			if st.Join != nil {
-				t2, _, _ := s.lookupTableLocked(st.Join.Table)
-				for _, c := range t2.Columns {
+			items[i].star = true
+			for _, tab := range b.tables {
+				for _, c := range tab.t.Columns {
 					res.Columns = append(res.Columns, c.Name)
 				}
 			}
 			continue
 		}
 		res.Columns = append(res.Columns, itemName(it))
-	}
-	for _, env := range envRows {
-		var out sqltypes.Row
-		for _, it := range st.Items {
-			if it.Star {
-				out = append(out, env.row...)
+		arg := it.Expr
+		if f, ok := it.Expr.(*sqlparse.FuncExpr); ok && aggregateFuncs[f.Name] {
+			hasAgg = true
+			items[i].agg, items[i].star = f.Name, f.Name == "COUNT" && f.Star
+			if items[i].star {
 				continue
 			}
-			v, err := evalExpr(env, it.Expr)
+			if len(f.Args) != 1 {
+				return nil, fmt.Errorf("engine: %s wants one argument", f.Name)
+			}
+			arg = f.Args[0]
+		}
+		var err error
+		if items[i].e, err = b.bindLocked(arg); err != nil {
+			return nil, err
+		}
+	}
+	if hasAgg {
+		groupBy, err := b.bindAllLocked(st.GroupBy)
+		if err != nil {
+			return nil, err
+		}
+		if res.Rows, err = b.aggregate(items, groupBy, rows); err != nil {
+			return nil, err
+		}
+		res.Rows = applyLimit(res.Rows, st)
+		return res, nil
+	}
+
+	// ORDER BY evaluates in row scope (pre-projection).
+	if len(st.OrderBy) > 0 {
+		if err := b.sortRowsLocked(rows, st.OrderBy); err != nil {
+			return nil, err
+		}
+	}
+	window := rows
+	if !st.Distinct {
+		window = applyLimit(rows, st)
+	}
+	// One backing array holds every result row; the full slice expressions
+	// keep an append on one row from running into the next.
+	vals := make(sqltypes.Row, 0, len(window)*len(res.Columns))
+	res.Rows = make([]sqltypes.Row, 0, len(window))
+	for _, sr := range window {
+		start := len(vals)
+		for _, it := range items {
+			if it.star {
+				vals = append(vals, sr.data...)
+				continue
+			}
+			v, err := b.eval(it.e, sr.data)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, v)
+			vals = append(vals, v)
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows = append(res.Rows, vals[start:len(vals):len(vals)])
 	}
-
 	if st.Distinct {
-		seen := make(map[uint64]bool)
-		dd := res.Rows[:0]
+		distinct := rowSet{head: make(map[uint64]int)}
 		for _, r := range res.Rows {
-			h := sqltypes.HashRow(r)
-			if !seen[h] {
-				seen[h] = true
-				dd = append(dd, r)
-			}
+			distinct.intern(r)
 		}
-		res.Rows = dd
+		res.Rows = applyLimit(distinct.rows, st)
 	}
-	applyLimit(res, st)
 	return res, nil
 }
 
-// aggregateSelect computes GROUP BY / aggregate projections.
-func (s *Session) aggregateSelect(st *sqlparse.Select, envRows []*evalEnv) (*Result, error) {
-	type group struct {
-		key  []sqltypes.Value
-		rows []*evalEnv
+// bindAllLocked binds a list of expressions (GROUP BY keys).
+func (b *binder) bindAllLocked(exprs []sqlparse.Expr) ([]*bexpr, error) {
+	out := make([]*bexpr, len(exprs))
+	for i, e := range exprs {
+		var err error
+		if out[i], err = b.bindLocked(e); err != nil {
+			return nil, err
+		}
 	}
-	groups := make(map[uint64]*group)
-	var order []uint64
-	for _, env := range envRows {
-		var keyVals []sqltypes.Value
-		for _, g := range st.GroupBy {
-			v, err := evalExpr(env, g)
+	return out, nil
+}
+
+// joinLocked appends to out the inner join of t (already in b's scope) with
+// st.Join's table: nested loops over one scratch row holding the current
+// pair, on which ON and WHERE are evaluated bound; only a surviving pair is
+// copied. A joined row carries the FROM side's rowID, for FOR UPDATE.
+func (s *Session) joinLocked(b *binder, tx *Txn, st *sqlparse.Select, key tableKey, t *Table, out []scanRow) ([]scanRow, error) {
+	t2, key2, err := s.lookupTableLocked(st.Join.Table)
+	if err != nil {
+		return out, err
+	}
+	if s.iso == Serializable && !t2.Temp {
+		if err := s.eng.lockTable(tx, t2, false); err != nil {
+			return out, err
+		}
+	}
+	b.addTable(t2, st.Join.Alias, st.Join.Table.Name)
+	on, err := b.bindLocked(st.Join.On)
+	if err != nil {
+		return out, err
+	}
+	where, err := b.bindOptLocked(st.Where)
+	if err != nil {
+		return out, err
+	}
+	left, _ := s.filterLocked(nil, tx, key, t, nil, s.getScanBuf()) // no predicate, so no error
+	defer s.putScanBuf(left)
+	right, _ := s.filterLocked(nil, tx, key2, t2, nil, s.getScanBuf())
+	defer s.putScanBuf(right)
+	pair := make(sqltypes.Row, len(t.Columns)+len(t2.Columns))
+	for _, lr := range left {
+		copy(pair, lr.data)
+		for _, rr := range right {
+			copy(pair[len(t.Columns):], rr.data)
+			ok, err := b.matches(on, pair)
+			if ok && err == nil {
+				ok, err = b.matches(where, pair)
+			}
 			if err != nil {
+				return out, err
+			}
+			if ok {
+				out = append(out, scanRow{rowID: lr.rowID, data: pair.Clone()})
+			}
+		}
+	}
+	return out, nil
+}
+
+// rowSet collects distinct rows in first-seen order. Rows are looked up by
+// hash but compared value by value on a hit, so two different rows that
+// collide stay two rows. head and next chain the rows of one hash, as
+// positions + 1 in rows.
+type rowSet struct {
+	rows []sqltypes.Row
+	head map[uint64]int
+	next []int
+}
+
+// intern returns the position of r in the set, adding it when no equal row
+// (same kinds, equal values, NULL equal to NULL) is there yet.
+func (rs *rowSet) intern(r sqltypes.Row) (pos int, added bool) {
+	h := sqltypes.HashRow(r)
+next:
+	for i := rs.head[h]; i > 0; i = rs.next[i-1] {
+		for c, v := range rs.rows[i-1] {
+			if v.Kind() != r[c].Kind() || !sqltypes.Equal(v, r[c]) {
+				continue next
+			}
+		}
+		return i - 1, false
+	}
+	rs.rows = append(rs.rows, r)
+	rs.next = append(rs.next, rs.head[h])
+	rs.head[h] = len(rs.rows)
+	return len(rs.rows) - 1, true
+}
+
+// aggregate computes GROUP BY / aggregate projections over rows.
+func (b *binder) aggregate(items []boundItem, groupBy []*bexpr, rows []scanRow) ([]sqltypes.Row, error) {
+	keys := rowSet{head: make(map[uint64]int)}
+	var groups [][]sqltypes.Row // rows of each group, parallel to keys.rows
+	key := make(sqltypes.Row, len(groupBy))
+	for _, sr := range rows {
+		for i, g := range groupBy {
+			var err error
+			if key[i], err = b.eval(g, sr.data); err != nil {
 				return nil, err
 			}
-			keyVals = append(keyVals, v)
 		}
-		h := sqltypes.HashRow(keyVals)
-		grp, ok := groups[h]
-		if !ok {
-			grp = &group{key: keyVals}
-			groups[h] = grp
-			order = append(order, h)
+		gi, added := keys.intern(key)
+		if added {
+			groups = append(groups, nil)
+			key = make(sqltypes.Row, len(groupBy)) // the set kept the old one
 		}
-		grp.rows = append(grp.rows, env)
+		groups[gi] = append(groups[gi], sr.data)
 	}
-	if len(groups) == 0 && len(st.GroupBy) == 0 {
-		// Aggregates over an empty set yield one row.
-		groups[0] = &group{}
-		order = append(order, 0)
+	if len(groups) == 0 && len(groupBy) == 0 {
+		groups = append(groups, nil) // aggregates over an empty set yield one row
 	}
-
-	res := &Result{}
-	for _, it := range st.Items {
-		res.Columns = append(res.Columns, itemName(it))
-	}
-	for _, h := range order {
-		grp := groups[h]
-		var out sqltypes.Row
-		for _, it := range st.Items {
-			if it.Star {
+	out := make([]sqltypes.Row, 0, len(groups))
+	for _, grp := range groups {
+		row := make(sqltypes.Row, len(items))
+		for i, it := range items {
+			if it.star && it.agg == "" {
 				return nil, fmt.Errorf("engine: * not allowed with aggregates")
 			}
-			v, err := evalAggregate(grp.rows, it.Expr)
-			if err != nil {
+			var err error
+			if row[i], err = b.aggregateItem(it, grp); err != nil {
 				return nil, err
 			}
-			out = append(out, v)
 		}
-		res.Rows = append(res.Rows, out)
+		out = append(out, row)
 	}
-	applyLimit(res, st)
-	return res, nil
+	return out, nil
 }
 
-// evalAggregate computes an item over a group; non-aggregate expressions
-// evaluate on the group's first row.
-func evalAggregate(rows []*evalEnv, e sqlparse.Expr) (sqltypes.Value, error) {
-	f, ok := e.(*sqlparse.FuncExpr)
-	if !ok || !aggregateFuncs[f.Name] {
-		if len(rows) == 0 {
-			return sqltypes.Null, nil
-		}
-		return evalExpr(rows[0], e)
-	}
-	if f.Name == "COUNT" && f.Star {
+// aggregateItem computes one item over a group; a non-aggregate expression
+// evaluates on the group's first row. NULLs are skipped.
+func (b *binder) aggregateItem(it boundItem, rows []sqltypes.Row) (sqltypes.Value, error) {
+	switch {
+	case it.star:
 		return sqltypes.NewInt(int64(len(rows))), nil
+	case it.agg == "" && len(rows) == 0:
+		return sqltypes.Null, nil
+	case it.agg == "":
+		return b.eval(it.e, rows[0])
 	}
-	if len(f.Args) != 1 {
-		return sqltypes.Null, fmt.Errorf("engine: %s wants one argument", f.Name)
-	}
-	var vals []sqltypes.Value
-	for _, env := range rows {
-		v, err := evalExpr(env, f.Args[0])
+	var n, si int64
+	var sf float64
+	var best sqltypes.Value
+	isFloat := false
+	for _, r := range rows {
+		v, err := b.eval(it.e, r)
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		if !v.IsNull() {
-			vals = append(vals, v)
+		if v.IsNull() {
+			continue
 		}
-	}
-	switch f.Name {
-	case "COUNT":
-		return sqltypes.NewInt(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return sqltypes.Null, nil
-		}
-		isFloat := false
-		var si int64
-		var sf float64
-		for _, v := range vals {
-			if v.Kind() == sqltypes.KindFloat {
-				isFloat = true
-			}
+		switch it.agg {
+		case "SUM", "AVG":
+			isFloat = isFloat || v.Kind() == sqltypes.KindFloat
 			si += v.Int()
 			sf += v.Float()
-		}
-		if f.Name == "AVG" {
-			return sqltypes.NewFloat(sf / float64(len(vals))), nil
-		}
-		if isFloat {
-			return sqltypes.NewFloat(sf), nil
-		}
-		return sqltypes.NewInt(si), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return sqltypes.Null, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := sqltypes.Compare(v, best)
-			if (f.Name == "MIN" && c < 0) || (f.Name == "MAX" && c > 0) {
+		case "MIN", "MAX":
+			if c := sqltypes.Compare(v, best); n == 0 || (it.agg == "MIN" && c < 0) || (it.agg == "MAX" && c > 0) {
 				best = v
 			}
 		}
-		return best, nil
+		n++
 	}
-	return sqltypes.Null, fmt.Errorf("engine: unknown aggregate %s", f.Name)
+	switch {
+	case it.agg == "COUNT":
+		return sqltypes.NewInt(n), nil
+	case n == 0:
+		return sqltypes.Null, nil
+	case it.agg == "AVG":
+		return sqltypes.NewFloat(sf / float64(n)), nil
+	case it.agg == "SUM" && isFloat:
+		return sqltypes.NewFloat(sf), nil
+	case it.agg == "SUM":
+		return sqltypes.NewInt(si), nil
+	}
+	return best, nil
 }
 
 func itemName(it sqlparse.SelectItem) string {
@@ -861,17 +857,24 @@ func itemName(it sqlparse.SelectItem) string {
 	return it.Expr.SQL() // lint:rawsql-ok result-set column naming; the header text never re-parses
 }
 
-// sortEnvRows orders the row set by the ORDER BY keys.
-func sortEnvRows(rows []*evalEnv, keys []sqlparse.OrderItem) error {
+// sortRowsLocked orders rows by the ORDER BY keys, bound in b's scope.
+func (b *binder) sortRowsLocked(rows []scanRow, order []sqlparse.OrderItem) error {
+	keys := make([]*bexpr, len(order))
+	for i, o := range order {
+		var err error
+		if keys[i], err = b.bindLocked(o.Expr); err != nil {
+			return err
+		}
+	}
 	var sortErr error
 	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			vi, err := evalExpr(rows[i], k.Expr)
+		for k, key := range keys {
+			vi, err := b.eval(key, rows[i].data)
 			if err != nil {
 				sortErr = err
 				return false
 			}
-			vj, err := evalExpr(rows[j], k.Expr)
+			vj, err := b.eval(key, rows[j].data)
 			if err != nil {
 				sortErr = err
 				return false
@@ -880,7 +883,7 @@ func sortEnvRows(rows []*evalEnv, keys []sqlparse.OrderItem) error {
 			if c == 0 {
 				continue
 			}
-			if k.Desc {
+			if order[k].Desc {
 				return c > 0
 			}
 			return c < 0
@@ -890,61 +893,18 @@ func sortEnvRows(rows []*evalEnv, keys []sqlparse.OrderItem) error {
 	return sortErr
 }
 
-func applyLimit(res *Result, st *sqlparse.Select) {
+// applyLimit cuts rows down to the statement's OFFSET / LIMIT window.
+func applyLimit[T any](rows []T, st *sqlparse.Select) []T {
 	if st.Offset > 0 {
-		if st.Offset >= int64(len(res.Rows)) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[st.Offset:]
+		if st.Offset >= int64(len(rows)) {
+			return nil
 		}
+		rows = rows[st.Offset:]
 	}
-	if st.Limit >= 0 && int64(len(res.Rows)) > st.Limit {
-		res.Rows = res.Rows[:st.Limit]
+	if st.Limit >= 0 && int64(len(rows)) > st.Limit {
+		rows = rows[:st.Limit]
 	}
-}
-
-// rowEnv builds an evaluation environment for a single-table row. It shares
-// the table's precomputed column map instead of building per-row maps —
-// only the env struct itself allocates, which matters because selects and
-// updates build one env per candidate row.
-func (s *Session) rowEnv(tx *Txn, t *Table, ref sqlparse.TableRef, alias string, row sqltypes.Row, args []sqltypes.Value) *evalEnv {
-	if alias == "" {
-		alias = ref.Name
-	}
-	return &evalEnv{
-		s: s, tx: tx, args: args, row: row,
-		cols:    t.colsLower,
-		alias:   toLower(alias),
-		refName: toLower(ref.Name),
-	}
-}
-
-// joinEnv builds an environment over the concatenation of two rows.
-func (s *Session) joinEnv(tx *Txn, t1 *Table, a1 string, r1 sqltypes.Row, t2 *Table, a2 string, r2 sqltypes.Row, args []sqltypes.Value) *evalEnv {
-	merged := make(sqltypes.Row, 0, len(r1)+len(r2))
-	merged = append(merged, r1...)
-	merged = append(merged, r2...)
-	env := &evalEnv{
-		s: s, tx: tx, args: args, row: merged,
-		cols:  make(map[string]int, len(merged)),
-		qcols: make(map[string]int, len(merged)),
-	}
-	for i, c := range t1.Columns {
-		lower := toLower(c.Name)
-		if _, dup := env.cols[lower]; !dup {
-			env.cols[lower] = i
-		}
-		env.qcols[toLower(a1)+"."+lower] = i
-	}
-	off := len(t1.Columns)
-	for i, c := range t2.Columns {
-		lower := toLower(c.Name)
-		if _, dup := env.cols[lower]; !dup {
-			env.cols[lower] = off + i
-		}
-		env.qcols[toLower(a2)+"."+lower] = off + i
-	}
-	return env
+	return rows
 }
 
 func toLower(s string) string {

@@ -1,14 +1,11 @@
 package engine
 
-import (
-	"repro/internal/sqlparse"
-	"repro/internal/sqltypes"
-)
+import "repro/internal/sqltypes"
 
 // This file implements the primary-key point-lookup fast path: a per-table
 // hash index from primary-key value to internal rowIDs, plus the planner
 // check that turns `WHERE pk = <constant|param>` SELECT/UPDATE/DELETE into
-// an O(1) MVCC chain lookup instead of materializing the whole table.
+// an O(1) MVCC chain lookup instead of a scan of the whole table.
 //
 // Index semantics. pkIndex maps HashValue(pk) -> rowIDs whose version chain
 // has EVER committed a version carrying that pk. It is an over-approximate
@@ -90,14 +87,13 @@ func (t *Table) unindexPK(row sqltypes.Row, id int64) {
 	}
 }
 
-// pkLookupLocked returns the rows visible to tx whose primary key equals v —
-// the point-lookup equivalent of scanLocked filtered by `pk = v`. It first
+// pkLookupLocked appends to out the rows visible to tx whose primary key
+// equals v — the point-lookup equivalent of filterLocked on `pk = v`. It first
 // consults the transaction's own overlay (pending inserts and updates,
 // including updates that moved a row onto v) through the overlay pk index,
 // then the table's pk index for committed chains the overlay does not
 // shadow. Caller holds e.mu.
-func (s *Session) pkLookupLocked(tx *Txn, key tableKey, t *Table, v sqltypes.Value) []scanRow {
-	var out []scanRow
+func (s *Session) pkLookupLocked(tx *Txn, key tableKey, t *Table, v sqltypes.Value, out []scanRow) []scanRow {
 	ov := tx.overlay[key]
 	h := sqltypes.HashValue(v)
 	if len(ov) > 0 {
@@ -126,52 +122,27 @@ func (s *Session) pkLookupLocked(tx *Txn, key tableKey, t *Table, v sqltypes.Val
 	return out
 }
 
-// pkPointValue reports whether where is exactly `pk = <literal|param>` (in
-// either operand order) against table t, returning the lookup key coerced to
-// the primary-key column's kind. Only exact coercions are eligible — the
-// index hashes stored (column-kind) values, so a lossy constant (1.5 against
-// an INT key, a string against a numeric key) falls back to the scan path,
-// which preserves the engine's cross-kind comparison semantics. A NULL
-// constant is eligible and matches nothing (`pk = NULL` is never true).
-func pkPointValue(t *Table, where sqlparse.Expr, args []sqltypes.Value, quals ...string) (sqltypes.Value, bool) {
-	if t.pkCol < 0 {
+// pkPointValue reports whether the bound predicate where, over table t alone,
+// is exactly `pk = <constant>` (in either operand order; a constant is
+// whatever binding folded to one: literal, ? parameter, session variable,
+// procedure parameter), returning the lookup key coerced to the primary-key
+// column's kind. Only exact coercions are eligible — the index hashes stored
+// (column-kind) values, so a lossy constant (1.5 against an INT key, a string
+// against a numeric key) falls back to the scan path, which preserves the
+// engine's cross-kind comparison semantics. A NULL constant is eligible and
+// matches nothing (`pk = NULL` is never true).
+func pkPointValue(t *Table, where *bexpr) (sqltypes.Value, bool) {
+	if t.pkCol < 0 || where == nil || where.op != opEq {
 		return sqltypes.Null, false
 	}
-	be, ok := where.(*sqlparse.BinaryExpr)
-	if !ok || be.Op != "=" {
+	col, c := where.first, where.first.next
+	if col.op != opCol {
+		col, c = c, col
+	}
+	if col.op != opCol || int(col.col) != t.pkCol || c.op != opConst {
 		return sqltypes.Null, false
 	}
-	cr, valExpr := matchColumnConst(be.Left, be.Right)
-	if cr == nil {
-		return sqltypes.Null, false
-	}
-	if !equalFold(cr.Name, t.Columns[t.pkCol].Name) {
-		return sqltypes.Null, false
-	}
-	if cr.Qualifier != "" {
-		match := false
-		for _, q := range quals {
-			if q != "" && equalFold(cr.Qualifier, q) {
-				match = true
-				break
-			}
-		}
-		if !match {
-			return sqltypes.Null, false
-		}
-	}
-	var v sqltypes.Value
-	switch e := valExpr.(type) {
-	case *sqlparse.Literal:
-		v = e.Val
-	case *sqlparse.Param:
-		if e.Index >= len(args) {
-			return sqltypes.Null, false // let the slow path surface the binding error
-		}
-		v = args[e.Index]
-	default:
-		return sqltypes.Null, false
-	}
+	v := *c.val
 	if v.IsNull() {
 		return v, true
 	}
@@ -193,42 +164,6 @@ func pkPointValue(t *Table, where sqlparse.Expr, args []sqltypes.Value, quals ..
 		return sqltypes.NewFloat(float64(v.Int())), true
 	}
 	return sqltypes.Null, false
-}
-
-// matchColumnConst splits an equality's operands into (column, constant) if
-// one side is a column reference and the other a literal or parameter.
-func matchColumnConst(a, b sqlparse.Expr) (*sqlparse.ColumnRef, sqlparse.Expr) {
-	if cr, ok := a.(*sqlparse.ColumnRef); ok && isConstExpr(b) {
-		return cr, b
-	}
-	if cr, ok := b.(*sqlparse.ColumnRef); ok && isConstExpr(a) {
-		return cr, a
-	}
-	return nil, nil
-}
-
-func isConstExpr(e sqlparse.Expr) bool {
-	switch e.(type) {
-	case *sqlparse.Literal, *sqlparse.Param:
-		return true
-	}
-	return false
-}
-
-// candidateRowsLocked returns the rows a single-table statement must
-// consider: an O(1) index lookup when the WHERE clause is a primary-key
-// point predicate, otherwise a full scan into a pooled per-session buffer.
-// pooled reports whether the caller must hand the slice back via putScanBuf.
-// Callers still evaluate WHERE per returned row, so the fast path only needs
-// to return a superset-of-matches / subset-of-table row set.
-func (s *Session) candidateRowsLocked(tx *Txn, key tableKey, t *Table, where sqlparse.Expr, args []sqltypes.Value, quals ...string) (rows []scanRow, pooled bool) {
-	if v, ok := pkPointValue(t, where, args, quals...); ok {
-		if v.IsNull() {
-			return nil, false
-		}
-		return s.pkLookupLocked(tx, key, t, v), false
-	}
-	return s.scanInto(s.getScanBuf(), tx, key, t), true
 }
 
 // maxPooledScanBufs bounds the per-session scan buffer free list. Buffers

@@ -116,9 +116,8 @@ type Table struct {
 	pkOnlyUnique bool
 
 	// colsLower maps lower-cased column name -> position. Built once at
-	// table creation (Columns never changes afterwards) and shared
-	// read-only by every evalEnv over this table, so per-row evaluation
-	// allocates no per-call maps.
+	// table creation (Columns never changes afterwards); binding resolves
+	// each column reference through it once per statement.
 	colsLower map[string]int
 
 	// pkIndex maps HashValue(pk) -> rowIDs whose chain ever committed a
@@ -174,8 +173,7 @@ func newTable(name string, cols []Column, temp bool) *Table {
 }
 
 // colIndex returns the position of column name, or -1. Case-insensitive via
-// the colsLower map — an O(1) probe instead of an equalFold scan, which
-// per-row evaluation and per-insert binding hit hard.
+// the colsLower map — an O(1) probe instead of an equalFold scan.
 func (t *Table) colIndex(name string) int {
 	if i, ok := t.colsLower[toLower(name)]; ok {
 		return i

@@ -53,8 +53,8 @@ type Session struct {
 	effDeadline time.Time
 	// paramScope holds procedure parameter bindings during CALL.
 	paramScope []map[string]sqltypes.Value
-	// scanBufs is a free list of scan buffers reused by non-point-lookup
-	// statements to cut per-statement allocations (pkindex.go).
+	// scanBufs is a free list of the buffers statements collect their
+	// matching rows in, to cut per-statement allocations (pkindex.go).
 	scanBufs [][]scanRow
 }
 
@@ -261,7 +261,7 @@ func (s *Session) execLocked(st sqlparse.Statement, args []sqltypes.Value, depth
 		s.stmtTimeout = st.D
 		return &Result{}, nil
 	case *sqlparse.SetVar:
-		v, err := s.evalConst(st.Value, args)
+		v, err := newBinder(s, nil, args).constLocked(st.Value)
 		if err != nil {
 			return nil, err
 		}
@@ -703,8 +703,9 @@ func (s *Session) callLocked(st *sqlparse.Call, args []sqltypes.Value, depth int
 		return nil, fmt.Errorf("engine: procedure %q wants %d args, got %d", st.Name, len(proc.Params), len(st.Args))
 	}
 	scope := make(map[string]sqltypes.Value, len(proc.Params))
+	b := newBinder(s, nil, args)
 	for i, pname := range proc.Params {
-		v, err := s.evalConst(st.Args[i], args)
+		v, err := b.constLocked(st.Args[i])
 		if err != nil {
 			return nil, err
 		}
@@ -764,10 +765,4 @@ func (s *Session) lookupParam(name string) (sqltypes.Value, bool) {
 		}
 	}
 	return sqltypes.Null, false
-}
-
-// evalConst evaluates an expression with no row context.
-func (s *Session) evalConst(e sqlparse.Expr, args []sqltypes.Value) (sqltypes.Value, error) {
-	env := &evalEnv{s: s, args: args}
-	return evalExpr(env, e)
 }

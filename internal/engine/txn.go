@@ -171,10 +171,14 @@ func (tx *Txn) overlayStillHolds(key tableKey, id int64, pkCol int, pk sqltypes.
 	return ent == nil || (!ent.deleted && ent.data != nil && sqltypes.Equal(ent.data[pkCol], pk))
 }
 
-// ov returns (creating if needed) the overlay map for a table.
+// ov returns (creating if needed) the overlay map for a table. The overlay
+// itself is created by the first write, so a read-only statement pays for none.
 func (tx *Txn) ov(key tableKey) map[int64]*overlayEntry {
 	m, ok := tx.overlay[key]
 	if !ok {
+		if tx.overlay == nil {
+			tx.overlay = make(map[tableKey]map[int64]*overlayEntry)
+		}
 		m = make(map[int64]*overlayEntry)
 		tx.overlay[key] = m
 	}
@@ -185,12 +189,7 @@ func (tx *Txn) ov(key tableKey) map[int64]*overlayEntry {
 // exclusive — read-only implicit transactions begin on the shared path, so
 // the txn id counter is atomic.
 func (e *Engine) beginTxnLocked(iso IsolationLevel) *Txn {
-	return &Txn{
-		id:      e.nextTxnID.Add(1),
-		snapTS:  e.clock,
-		iso:     iso,
-		overlay: make(map[tableKey]map[int64]*overlayEntry),
-	}
+	return &Txn{id: e.nextTxnID.Add(1), snapTS: e.clock, iso: iso}
 }
 
 // refreshSnapshotLocked advances the snapshot for read-committed statements.
@@ -447,7 +446,7 @@ func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
 
 // rollbackBodyLocked discards pending state (locks released by caller).
 func (e *Engine) rollbackBodyLocked(tx *Txn) {
-	tx.overlay = make(map[tableKey]map[int64]*overlayEntry)
+	tx.overlay = nil
 	tx.pkOv = nil
 	tx.ops = nil
 	tx.stmts = nil

@@ -247,7 +247,9 @@ func Arith(op string, a, b Value) (Value, error) {
 			}
 			return NewFloat(af / bf), nil
 		case "%":
-			if bf == 0 {
+			// The modulus is taken on the integer parts, so a divisor
+			// inside (-1, 1) is a zero divisor too.
+			if int64(bf) == 0 {
 				return Null, fmt.Errorf("sqltypes: division by zero")
 			}
 			return NewFloat(float64(int64(af) % int64(bf))), nil

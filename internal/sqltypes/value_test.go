@@ -167,6 +167,11 @@ func TestArithDivZero(t *testing.T) {
 	if _, err := Arith("%", NewFloat(1), NewFloat(0)); err == nil {
 		t.Error("float modulo by zero should error")
 	}
+	// The float modulus works on integer parts: 0.5 truncates to a zero
+	// divisor, which used to panic instead of erroring.
+	if _, err := Arith("%", NewInt(3), NewFloat(0.5)); err == nil {
+		t.Error("modulo by a float inside (-1, 1) should error")
+	}
 }
 
 func TestStringQuoting(t *testing.T) {

@@ -5,7 +5,7 @@
 # comparison benchmarks still EXIST: a rename or accidental deletion fails
 # here rather than silently shrinking the sweep. One entry per PR-defining
 # comparison (query cache PR 3, recovery paths PR 4, wire prepared PR 5,
-# wire protocol + group commit PR 9).
+# wire protocol + group commit PR 9, bound-expression scan path).
 set -euo pipefail
 
 out="$(mktemp)"
@@ -19,6 +19,7 @@ required=(
   'BenchmarkWirePreparedExec/prepared-exec'
   'BenchmarkWireProtocol/binary-pipelined'
   'BenchmarkGroupCommit/group-commit'
+  'BenchmarkScanFilter/select'
 )
 missing=0
 for b in "${required[@]}"; do
