@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,14 +20,16 @@ func intv(i int64) sqltypes.Value     { return sqltypes.NewInt(i) }
 func strv(s string) sqltypes.Value    { return sqltypes.NewString(s) }
 func floatv(f float64) sqltypes.Value { return sqltypes.NewFloat(f) }
 
-// TestMSSessionBindArgs covers args through the master-slave router — and,
-// critically, that a parameterized write statement-ships to slaves with its
-// bindings inlined (the binlog records executable text, not "(?)").
+// TestMSSessionBindArgs covers args through the master-slave router. Slaves
+// apply write sets, but the binlog still records executable text with the
+// bindings inlined (not "(?)"): the recovery log replays that text, and a
+// slave's events must carry the master's so a log recorded from a promoted
+// slave replays the same statements.
 func TestMSSessionBindArgs(t *testing.T) {
 	master := NewReplica(ReplicaConfig{Name: "m"})
 	slave := NewReplica(ReplicaConfig{Name: "s"})
 	ms := NewMasterSlave(master, []*Replica{slave}, MasterSlaveConfig{
-		Consistency: SessionConsistent, Ship: ShipStatements,
+		Consistency: SessionConsistent,
 	})
 	defer ms.Close()
 	sess := ms.NewSession("app")
@@ -48,8 +51,6 @@ func TestMSSessionBindArgs(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "it's" || res.Rows[0][1].Float() != 9.75 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	// The slave applied the shipped statements (with inlined bindings,
-	// including the quote-bearing string) — the replicas converge.
 	waitCaughtUp(t, ms)
 	rep, err := CheckDivergence([]*Replica{master, slave}, "d")
 	if err != nil {
@@ -57,6 +58,22 @@ func TestMSSessionBindArgs(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Fatalf("replicas diverged after parameterized writes: %v", rep)
+	}
+	mevs, _ := master.Engine().Binlog().ReadFrom(0, 0)
+	sevs, _ := slave.Engine().Binlog().ReadFrom(0, 0)
+	if len(mevs) != len(sevs) {
+		t.Fatalf("master logged %d events, slave %d", len(mevs), len(sevs))
+	}
+	for i, ev := range mevs {
+		if fmt.Sprint(ev.Stmts) != fmt.Sprint(sevs[i].Stmts) || ev.Database != sevs[i].Database {
+			t.Errorf("event %d: slave logged %q in %q, master %q in %q",
+				ev.Seq, sevs[i].Stmts, sevs[i].Database, ev.Stmts, ev.Database)
+		}
+		for _, sql := range ev.Stmts {
+			if strings.Contains(sql, "?") {
+				t.Errorf("event %d records unbound text %q", ev.Seq, sql)
+			}
+		}
 	}
 	// Explicit transaction with args (exercises the txn replay log path).
 	mustExecC(t, sess.Exec, "BEGIN")

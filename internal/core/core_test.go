@@ -205,6 +205,47 @@ func TestMSFailoverPromotesMostUpToDate(t *testing.T) {
 	}
 }
 
+// TestPromotedSlaveNeverReissuesKeys: row images move neither
+// auto-increment counters nor sequences, so the slave applier advances both
+// itself. A promoted slave must hand out no AUTO_INCREMENT key and no
+// NEXTVAL value the old master already handed out, including one consumed
+// by a transaction that rolled back.
+func TestPromotedSlaveNeverReissuesKeys(t *testing.T) {
+	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{})
+	for _, sql := range []string{
+		"CREATE TABLE auto (id INTEGER PRIMARY KEY AUTO_INCREMENT, v INTEGER)",
+		"CREATE TABLE orders (id INTEGER PRIMARY KEY, v INTEGER)",
+		"CREATE SEQUENCE ord START 100 INCREMENT 1",
+	} {
+		mustExecC(t, sess.Exec, sql)
+	}
+	for i := 0; i < 5; i++ {
+		mustExecC(t, sess.Exec, fmt.Sprintf("INSERT INTO auto (v) VALUES (%d)", i))
+		mustExecC(t, sess.Exec, fmt.Sprintf("INSERT INTO orders (id, v) VALUES (NEXTVAL('ord'), %d)", i))
+	}
+	mustExecC(t, sess.Exec, "BEGIN")
+	mustExecC(t, sess.Exec, "INSERT INTO orders (id, v) VALUES (NEXTVAL('ord'), -1)")
+	mustExecC(t, sess.Exec, "ROLLBACK")
+	// No row records the rolled-back value; the next commit, on another
+	// table, must still publish the sequence's position.
+	mustExecC(t, sess.Exec, "INSERT INTO auto (v) VALUES (5)")
+	waitCaughtUp(t, ms)
+
+	ms.Master().Fail()
+	if _, err := ms.Failover(); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExecC(t, sess.Exec, "INSERT INTO auto (v) VALUES (99)")
+	if res.LastInsertID != 7 {
+		t.Fatalf("promoted master issued auto-increment key %d, want 7", res.LastInsertID)
+	}
+	mustExecC(t, sess.Exec, "INSERT INTO orders (id, v) VALUES (NEXTVAL('ord'), 99)")
+	res = mustExecC(t, sess.Exec, "SELECT id FROM orders WHERE v = 99")
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 106 {
+		t.Fatalf("promoted master issued NEXTVAL %v, want 106", res.Rows)
+	}
+}
+
 func TestMSTransparentFailoverReplaysTxn(t *testing.T) {
 	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{TransparentFailover: true, FailoverTimeout: 2 * time.Second})
 	mon := NewMonitor(ms, time.Millisecond)

@@ -31,17 +31,6 @@ const (
 	TwoSafe
 )
 
-// ShipMode selects what the master ships to slaves (§4.3.2).
-type ShipMode int
-
-// Shipping modes.
-const (
-	// ShipStatements re-executes the SQL on each slave.
-	ShipStatements ShipMode = iota
-	// ShipWriteSets applies captured row changes.
-	ShipWriteSets
-)
-
 // Consistency is the read routing guarantee (§3.3).
 type Consistency int
 
@@ -60,10 +49,11 @@ const (
 )
 
 // MasterSlaveConfig configures a master-slave (hot standby / scale-out)
-// cluster.
+// cluster. Slaves apply the master's captured write sets (§4.3.2), never
+// re-execute its SQL, so non-deterministic statements cannot make them
+// diverge; only DDL, which has no write set, ships as a statement.
 type MasterSlaveConfig struct {
 	Safety SafetyMode
-	Ship   ShipMode
 	// TwoSafeAcks is how many slaves must confirm receipt before a commit
 	// returns under TwoSafe; zero means all slaves.
 	TwoSafeAcks int
@@ -73,8 +63,8 @@ type MasterSlaveConfig struct {
 	// ApplyBatch caps how many queued write-set events a slave applies per
 	// engine lock acquisition (group commit): a lagging slave drains its
 	// backlog with one lock round-trip per batch instead of one per
-	// transaction. Zero means 32; 1 disables batching. Statement-shipped
-	// and DDL events always apply one at a time.
+	// transaction. Zero means 32; 1 disables batching. DDL events always
+	// apply one at a time.
 	ApplyBatch int
 	// ReadPolicy balances reads over slaves; nil means LPRF.
 	ReadPolicy lb.Policy
@@ -212,7 +202,6 @@ type slaveApplier struct {
 	slave   *Replica
 	session *engine.Session
 	delay   time.Duration
-	ship    ShipMode
 	batch   int // max write-set events group-committed per lock acquisition
 	stop    chan struct{}
 	done    chan struct{}
@@ -295,7 +284,6 @@ func (ms *MasterSlave) startApplier(sl *Replica, from uint64) {
 		slave:   sl,
 		session: sl.Engine().NewSession("replication"),
 		delay:   ms.cfg.ApplyDelay,
-		ship:    ms.cfg.Ship,
 		batch:   batch,
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -308,10 +296,10 @@ func (ms *MasterSlave) startApplier(sl *Replica, from uint64) {
 // run ships events serially: receive (ack position), then apply with the
 // slave's write service cost. Application stays serial — one event stream,
 // in commit order, which is exactly why a loaded slave lags a parallel
-// master (§2.2, experiment C3) — but in write-set mode a backlog drains in
-// group-commit batches: one engine lock acquisition applies up to a.batch
-// queued transactions, each still committing individually so binlog
-// positions stay aligned one-event-one-commit across replicas.
+// master (§2.2, experiment C3) — but a backlog drains in group-commit
+// batches: one engine lock acquisition applies up to a.batch queued write
+// sets, each still committing individually so binlog positions stay
+// aligned one-event-one-commit across replicas.
 func (a *slaveApplier) run(masterEng *engine.Engine, from uint64) {
 	defer close(a.done)
 	pos := from
@@ -333,84 +321,61 @@ func (a *slaveApplier) run(masterEng *engine.Engine, from uint64) {
 			continue
 		}
 		for len(events) > 0 {
-			select {
-			case <-a.stop:
+			if a.stopped() {
 				return
-			default:
 			}
-			if n := a.batchable(events); n > 1 {
-				batch := events[:n]
-				events = events[n:]
-				// Receive and service each event, honoring halt between
-				// events like the single-event path does; a stop request
-				// shrinks the batch to the events already serviced.
-				stopped := false
-				wss := make([]*engine.WriteSet, 0, len(batch))
-				for _, ev := range batch {
-					select {
-					case <-a.stop:
-						stopped = true
-					default:
-					}
-					if stopped {
-						break
-					}
-					wss = append(wss, ev.WriteSet)
-					a.slave.receivedSeq.Store(ev.Seq)
-					if a.delay > 0 {
-						time.Sleep(a.delay)
-					}
-					a.slave.serviceSleep(false)
+			// A batch is one DDL event or a run of write-set events.
+			n := 1
+			for !events[0].DDL && n < len(events) && n < a.batch && !events[n].DDL {
+				n++
+			}
+			batch := events[:n]
+			events = events[n:]
+			// Receive and service each event, honoring halt between events;
+			// a stop request shrinks the batch to the events already
+			// serviced.
+			received := 0
+			for _, ev := range batch {
+				if received > 0 && a.stopped() {
+					break
 				}
-				applied, err := a.slave.Engine().ApplyWriteSets(wss, engine.ApplyOptions{})
-				if applied > 0 {
-					pos = batch[applied-1].Seq
-					a.slave.appliedSeq.Store(pos)
+				a.receive(ev)
+				received++
+			}
+			applied, err := applyEvents(a.session, a.slave.Engine(), batch[:received])
+			if applied > 0 {
+				pos = batch[applied-1].Seq
+				a.slave.appliedSeq.Store(pos)
+				if !batch[0].DDL {
 					a.slave.noteApplied(applied, 1)
 				}
-				if err != nil || stopped {
-					// Apply errors stall the slave (like a broken
-					// replica); operators must intervene — matching
-					// field behaviour.
-					return
-				}
-				continue
 			}
-			ev := events[0]
-			events = events[1:]
-			a.slave.receivedSeq.Store(ev.Seq)
-			if a.delay > 0 {
-				time.Sleep(a.delay)
-			}
-			a.slave.serviceSleep(false)
-			if err := applyEvent(a.session, a.slave.Engine(), ev, a.ship); err != nil {
+			if err != nil || received < len(batch) {
+				// Apply errors stall the slave (like a broken replica);
+				// operators must intervene — matching field behaviour.
 				return
-			}
-			pos = ev.Seq
-			a.slave.appliedSeq.Store(ev.Seq)
-			// ApplyStats tracks write-set apply amortization only:
-			// statement-shipped and DDL events take several engine lock
-			// acquisitions inside applyEvent, so counting them as one
-			// round-trip would overstate the batching win.
-			if a.ship == ShipWriteSets && !ev.DDL && ev.WriteSet != nil {
-				a.slave.noteApplied(1, 1)
 			}
 		}
 	}
 }
 
-// batchable returns how many leading events of the queue can be applied as
-// one group-commit batch: consecutive write-set (non-DDL) events, capped at
-// the configured batch size. Returns 0 or 1 when batching does not apply.
-func (a *slaveApplier) batchable(events []engine.Event) int {
-	if a.ship != ShipWriteSets || a.batch <= 1 {
-		return 0
+// receive acknowledges an event's arrival (what 2-safe commits wait for)
+// and pays the slave's per-event delay and write service cost.
+func (a *slaveApplier) receive(ev engine.Event) {
+	a.slave.receivedSeq.Store(ev.Seq)
+	if a.delay > 0 {
+		time.Sleep(a.delay)
 	}
-	n := 0
-	for n < len(events) && n < a.batch && !events[n].DDL && events[n].WriteSet != nil {
-		n++
+	a.slave.serviceSleep(false)
+}
+
+func (a *slaveApplier) stopped() bool {
+	select {
+	case <-a.stop:
+		return true
+	default:
+		return false
 	}
-	return n
 }
 
 func (a *slaveApplier) halt() {
@@ -423,71 +388,47 @@ func (a *slaveApplier) halt() {
 	a.session.Close()
 }
 
-// applyEvent applies one binlog event to a replica engine, preserving the
-// one-event-one-commit alignment that keeps binlog positions comparable
-// across replicas.
-//
-// Statement-shipped SQL is parsed through the process-wide statement cache,
-// so each distinct event text is parsed once and the resulting AST is reused
-// across every slave applying that event (the seed parsed every event on
-// every slave). Transaction brackets and USE are constructed as AST nodes
-// directly — they never touch the parser at all.
-func applyEvent(s *engine.Session, eng *engine.Engine, ev engine.Event, ship ShipMode) error {
-	if ev.DDL {
-		if ev.Database != "" {
-			if _, err := s.ExecStmt(&sqlparse.UseDatabase{Name: ev.Database}); err != nil && !isUnknownDB(err) {
-				return err
-			}
-		}
-		st, err := sqlparse.ParseCached(ev.Stmts[0])
-		if err != nil {
-			return err
-		}
-		_, err = s.ExecStmt(st)
-		return err
-	}
-	if ship == ShipWriteSets && ev.WriteSet != nil {
-		return eng.ApplyWriteSet(ev.WriteSet, engine.ApplyOptions{})
-	}
-	if len(ev.Stmts) == 0 {
-		// Statement-less events exist only as direct write-set applies (a
-		// migration seeding or tailing rows into this lineage); statement
-		// shipping must still apply them by write-set or the slave would
-		// silently skip the commit and diverge from its master.
-		if ev.WriteSet != nil {
-			return eng.ApplyWriteSet(ev.WriteSet, engine.ApplyOptions{})
-		}
-		return nil
-	}
+// applyDDL executes a DDL event's statement on s in the event's database.
+// DDL is the one event kind with no write set, so it ships as text; the
+// statement cache parses each distinct text once for every slave.
+func applyDDL(s *engine.Session, ev engine.Event) error {
 	if ev.Database != "" {
-		if _, err := s.ExecStmt(&sqlparse.UseDatabase{Name: ev.Database}); err != nil {
+		if _, err := s.ExecStmt(&sqlparse.UseDatabase{Name: ev.Database}); err != nil && !isUnknownDB(err) {
 			return err
 		}
 	}
-	if len(ev.Stmts) == 1 {
-		st, err := sqlparse.ParseCached(ev.Stmts[0])
-		if err != nil {
-			return err
-		}
-		_, err = s.ExecStmt(st)
+	st, err := sqlparse.ParseCached(ev.Stmts[0])
+	if err != nil {
 		return err
 	}
-	if _, err := s.ExecStmt(&sqlparse.BeginTxn{}); err != nil {
-		return err
-	}
-	for _, sql := range ev.Stmts {
-		st, err := sqlparse.ParseCached(sql)
-		if err != nil {
-			_, _ = s.ExecStmt(&sqlparse.RollbackTxn{})
-			return err
-		}
-		if _, err := s.ExecStmt(st); err != nil {
-			_, _ = s.ExecStmt(&sqlparse.RollbackTxn{})
-			return err
-		}
-	}
-	_, err := s.ExecStmt(&sqlparse.CommitTxn{})
+	_, err = s.ExecStmt(st)
 	return err
+}
+
+// applyEvents applies a run of binlog events to eng: DDL through s,
+// everything else as write-set batches. It returns how many events were
+// applied; on error the events before the failing one remain committed.
+func applyEvents(s *engine.Session, eng *engine.Engine, events []engine.Event) (int, error) {
+	done := 0
+	for done < len(events) {
+		if events[done].DDL {
+			if err := applyDDL(s, events[done]); err != nil {
+				return done, err
+			}
+			done++
+			continue
+		}
+		end := done + 1
+		for end < len(events) && !events[end].DDL {
+			end++
+		}
+		n, err := eng.ApplyEvents(events[done:end], engine.ApplyOptions{AdvanceCounters: true})
+		done += n
+		if err != nil {
+			return done, err
+		}
+	}
+	return done, nil
 }
 
 func isUnknownDB(err error) bool {
@@ -969,12 +910,7 @@ func (ms *MasterSlave) ApplyForeignEvents(events []engine.Event) (int, error) {
 	master := ms.Master()
 	sess := master.Engine().NewSession("rebalance")
 	defer sess.Close()
-	for i, ev := range events {
-		if err := applyEvent(sess, master.Engine(), ev, ShipWriteSets); err != nil {
-			return i, err
-		}
-	}
-	return len(events), nil
+	return applyEvents(sess, master.Engine(), events)
 }
 
 // SurvivableSeq returns the highest source position guaranteed to exist in

@@ -350,3 +350,74 @@ func TestFailoverToTruncatesLostSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFailoverFromLaggingRecorderKeepsAckedCommits: the recorder lags the
+// slaves when the master dies, and the master's binlog dies with it, so
+// after FailoverTo the log catches up from the promoted slave's own binlog.
+// Those events must carry the master's statements and database, or their
+// entries replay as nothing and a restart from disk drops acknowledged
+// commits.
+func TestFailoverFromLaggingRecorderKeepsAckedCommits(t *testing.T) {
+	dir := t.TempDir()
+	rlog, err := recoverylog.Open(dir, recoverylog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{})
+	prov := NewProvisioner(rlog)
+	// After its first pass the recorder idles for an hour: every commit
+	// below is acknowledged and applied by the slaves but not yet logged.
+	prov.Follow(ms.Master(), FollowOptions{Poll: time.Hour})
+	waitRecorded(t, prov, ms.Master())
+	for i := 1; i <= 20; i++ {
+		mustExecC(t, sess.Exec, fmt.Sprintf("INSERT INTO items (id, name, stock) VALUES (%d, 'n%d', %d)", i, i, i))
+	}
+	mustExecC(t, sess.Exec, "UPDATE items SET stock = stock * 10 WHERE id <= 5")
+	mustExecC(t, sess.Exec, "BEGIN")
+	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (21, 'txn')")
+	mustExecC(t, sess.Exec, "DELETE FROM items WHERE id = 20")
+	mustExecC(t, sess.Exec, "COMMIT")
+	waitCaughtUp(t, ms)
+
+	old := ms.Master()
+	old.Fail()
+	promoted, err := ms.Failover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A crashed master's binlog is gone with its process: the recorder's
+	// parting drain cannot copy what it had not logged yet.
+	old.Engine().Binlog().Reset(old.Engine().Binlog().Head())
+	if err := prov.FailoverTo(promoted); err != nil {
+		t.Fatal(err)
+	}
+	waitRecorded(t, prov, promoted)
+	prov.Unfollow()
+	if err := rlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := recoverylog.Open(dir, recoverylog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	restored := NewReplica(ReplicaConfig{Name: "restored"})
+	if _, err := NewProvisioner(reopened).ResyncAuto(restored, ResyncOptions{BatchWait: 5 * time.Millisecond}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := CheckDivergence([]*Replica{promoted, restored}, "shop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("restart from disk lost acknowledged commits: %v", rep)
+	}
+	res, err := restored.ExecOn(restored.Engine().NewSession("check"), "SELECT COUNT(*) FROM shop.items", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].Int(); n != 20 {
+		t.Fatalf("restored %d rows, want 20", n)
+	}
+}

@@ -82,8 +82,8 @@ type Replica struct {
 	// applyEvents and applyBatches count write-set apply work: events
 	// applied and engine lock round-trips used for them. Their ratio is the
 	// group-commit amortization a lagging slave achieved while draining
-	// backlog. Statement-shipped and DDL events are not counted — they take
-	// several lock acquisitions each inside the session.
+	// backlog. DDL events are not counted — they take several lock
+	// acquisitions each inside the session.
 	applyEvents  atomic.Uint64
 	applyBatches atomic.Uint64
 }
@@ -141,7 +141,7 @@ func (r *Replica) noteApplied(events, batches int) {
 // ApplyStats returns how many write-set replication events this replica
 // has applied and how many engine lock round-trips (group-commit batches)
 // they took. events/batches > 1 means backlog was drained in batches.
-// Statement-shipped and DDL events are excluded.
+// DDL events are excluded.
 func (r *Replica) ApplyStats() (events, batches uint64) {
 	return r.applyEvents.Load(), r.applyBatches.Load()
 }

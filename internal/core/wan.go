@@ -113,13 +113,58 @@ func (w *WAN) startShipper(from, to *SiteConfig) {
 				time.Sleep(w.latency(from.Name, to.Name))
 				// Async apply at the destination master; its local slaves
 				// pick the event up via normal intra-site shipping.
-				_ = applyEvent(session, to.Cluster.Master().Engine(), ev, ShipStatements)
+				_ = applyStatements(session, to.Cluster.Master().Engine(), ev)
 			}
 		}
 	}()
 	w.mu.Lock()
 	w.shippers = append(w.shippers, func() { close(stop); cancel() })
 	w.mu.Unlock()
+}
+
+// applyStatements re-executes one event's statements on s as one
+// transaction: the statement-shipping form (§4.3.2) cross-site replication
+// uses. DDL applies as at a slave; a statement-less event (a migration's
+// write set) applies by write set.
+func applyStatements(s *engine.Session, eng *engine.Engine, ev engine.Event) error {
+	if ev.DDL {
+		return applyDDL(s, ev)
+	}
+	if len(ev.Stmts) == 0 {
+		if ev.WriteSet != nil {
+			return eng.ApplyWriteSet(ev.WriteSet, engine.ApplyOptions{})
+		}
+		return nil
+	}
+	if ev.Database != "" {
+		if _, err := s.ExecStmt(&sqlparse.UseDatabase{Name: ev.Database}); err != nil {
+			return err
+		}
+	}
+	if len(ev.Stmts) == 1 {
+		st, err := sqlparse.ParseCached(ev.Stmts[0])
+		if err != nil {
+			return err
+		}
+		_, err = s.ExecStmt(st)
+		return err
+	}
+	if _, err := s.ExecStmt(&sqlparse.BeginTxn{}); err != nil {
+		return err
+	}
+	for _, sql := range ev.Stmts {
+		st, err := sqlparse.ParseCached(sql)
+		if err != nil {
+			_, _ = s.ExecStmt(&sqlparse.RollbackTxn{})
+			return err
+		}
+		if _, err := s.ExecStmt(st); err != nil {
+			_, _ = s.ExecStmt(&sqlparse.RollbackTxn{})
+			return err
+		}
+	}
+	_, err := s.ExecStmt(&sqlparse.CommitTxn{})
+	return err
 }
 
 // Close stops cross-site shipping (site clusters remain running).

@@ -82,7 +82,9 @@ func writers(t *testing.T, pc *core.Partitioned, nw, base int, stop chan struct{
 	t.Helper()
 	acks := &ackSet{keys: make(map[int]bool)}
 	for w := 0; w < nw; w++ {
+		acks.wg.Add(1)
 		go func(w int) {
+			defer acks.wg.Done()
 			sess := pc.NewSession(fmt.Sprintf("w%d", w))
 			defer sess.Close()
 			if _, err := sess.Exec("USE app"); err != nil {
@@ -117,7 +119,12 @@ func writers(t *testing.T, pc *core.Partitioned, nw, base int, stop chan struct{
 type ackSet struct {
 	mu   sync.Mutex
 	keys map[int]bool
+	wg   sync.WaitGroup // the writer goroutines
 }
+
+// wait returns once every writer has stopped, so no acknowledgement is
+// still in flight.
+func (a *ackSet) wait() { a.wg.Wait() }
 
 func (a *ackSet) add(k int) {
 	a.mu.Lock()
@@ -135,13 +142,24 @@ func (a *ackSet) snapshot() map[int]bool {
 	return out
 }
 
-// auditCluster collects every kv row from every partition master and fails
-// on duplicates (double-applied writes) or missing acknowledged keys (lost
-// writes).
+// auditCluster collects every kv row from every partition and fails on
+// duplicates (double-applied writes) or missing acknowledged keys (lost
+// writes). Callers stop their writers first; the audit drains every slave,
+// so its reads see each partition master's state wherever they route.
 func auditCluster(t *testing.T, pc *core.Partitioned, acked map[int]bool) {
 	t.Helper()
 	seen := make(map[int]int)
 	rt := pc.RouteTable()
+	for _, p := range rt.Partitions() {
+		waitFor(t, 5*time.Second, func() bool {
+			for _, lag := range p.SlaveLag() {
+				if lag > 0 {
+					return false
+				}
+			}
+			return true
+		})
+	}
 	for pi, p := range rt.Partitions() {
 		sess := p.NewSession("audit")
 		if _, err := sess.Exec("USE app"); err != nil {
@@ -201,7 +219,7 @@ func TestSplitToFreshPartitionUnderLoad(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond) // writes in flight after the cutover
 	close(stop)
-	time.Sleep(5 * time.Millisecond)
+	acks.wait()
 
 	rt := pc.RouteTable()
 	if rt.Epoch() != epoch0+1 {
@@ -243,7 +261,7 @@ func TestMigrateToExistingPartition(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
-	time.Sleep(5 * time.Millisecond)
+	acks.wait()
 
 	rt = pc.RouteTable()
 	for _, b := range moving {
@@ -364,7 +382,7 @@ func TestMigrationResumesAcrossSourceFailover(t *testing.T) {
 	t.Cleanup(mon.Stop)
 
 	stop := make(chan struct{})
-	writers(t, pc, 4, 1000, stop)
+	acks := writers(t, pc, 4, 1000, stop)
 	time.Sleep(5 * time.Millisecond)
 
 	dest := newSubCluster(t, "fresh", 1, msCfg)
@@ -383,6 +401,7 @@ func TestMigrationResumesAcrossSourceFailover(t *testing.T) {
 
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
+	acks.wait()
 	if err := <-done; err != nil {
 		t.Fatalf("migration did not survive source failover: %v", err)
 	}
@@ -395,7 +414,6 @@ func TestMigrationResumesAcrossSourceFailover(t *testing.T) {
 	if r.Completed() != 1 {
 		t.Fatalf("completed = %d", r.Completed())
 	}
-	time.Sleep(5 * time.Millisecond)
 	// 1-safe failover may legitimately lose the acked tail (the paper's
 	// LostTransactions accounting), so the audit here checks the migration
 	// invariants: no double-applied rows, every row on its owning partition.

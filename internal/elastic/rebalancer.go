@@ -24,9 +24,11 @@ import (
 type RebalancerConfig struct {
 	// TailBatch is how many binlog events each tail read ships (0 = 256).
 	TailBatch int
-	// TailDelay, when set, sleeps between tail rounds — a throttle bounding
-	// the migration's apply pressure on the destination (at the cost of a
-	// longer catch-up phase).
+	// TailDelay, when set, sleeps between tail rounds and caps the tail at
+	// TailBatch events per TailDelay — a throttle bounding the migration's
+	// apply pressure on the destination (at the cost of a longer catch-up
+	// phase). The cap is a rate over the whole stream, so a round that
+	// overslept catches up on the batches it missed.
 	TailDelay time.Duration
 	// CatchupThreshold is the tail gap (events) below which the migration
 	// stops streaming and fences for the final drain (0 = 16).
@@ -223,7 +225,8 @@ func (r *Rebalancer) migrate(buckets []int, dest *core.MasterSlave, dropEmpty bo
 	// from the contiguous prefix after failover.
 	cursor := b.AtSeq
 	lastMaster := src.Master().Name()
-	deadline := time.Now().Add(r.cfg.CatchupTimeout)
+	streamStart := time.Now()
+	deadline := streamStart.Add(r.cfg.CatchupTimeout)
 	for {
 		if r.cfg.TailDelay > 0 {
 			time.Sleep(r.cfg.TailDelay)
@@ -250,16 +253,29 @@ func (r *Rebalancer) migrate(buckets []int, dest *core.MasterSlave, dropEmpty bo
 			time.Sleep(500 * time.Microsecond)
 			continue
 		}
-		n, next, err := r.shipBatch(src, tail, cursor, capSeq)
-		if err != nil {
-			cleanupMarks()
-			return abort(fmt.Errorf("elastic: tail stream: %w", err))
+		// Unthrottled, a round ships one batch. TailDelay throttles to a
+		// rate instead, TailBatch events per TailDelay of streaming time: a
+		// round ships what the rounds since the snapshot were allowed and
+		// have not shipped. One batch per throttled round would let timer
+		// overshoot and apply time set the rate, well below the configured
+		// one, and writers could outrun it forever.
+		limit := min(capSeq, cursor+uint64(r.cfg.TailBatch))
+		if r.cfg.TailDelay > 0 {
+			rounds := uint64(time.Since(streamStart) / r.cfg.TailDelay)
+			limit = min(capSeq, b.AtSeq+rounds*uint64(r.cfg.TailBatch))
 		}
-		if n == 0 {
-			time.Sleep(500 * time.Microsecond)
-			continue
+		for cursor < limit {
+			n, next, err := r.shipBatch(src, tail, cursor, limit)
+			if err != nil {
+				cleanupMarks()
+				return abort(fmt.Errorf("elastic: tail stream: %w", err))
+			}
+			if n == 0 {
+				time.Sleep(500 * time.Microsecond)
+				break
+			}
+			cursor = next
 		}
-		cursor = next
 	}
 
 	// 4. Fence, drain to the frozen head, wait destination level, install.

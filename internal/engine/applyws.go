@@ -9,10 +9,11 @@ import (
 // ApplyOptions tunes write-set application on a replica.
 type ApplyOptions struct {
 	// AdvanceCounters additionally bumps auto-increment counters past any
-	// applied key values. Off by default, reproducing the §4.3.2 gap:
-	// "writeset extraction does not capture changes like auto-incremented
-	// keys [or] sequence values", so a later local insert on this replica
-	// can collide with a remotely generated key.
+	// applied key values and moves sequences to the write set's recorded
+	// positions. Off by default, reproducing the §4.3.2 gap: "writeset
+	// extraction does not capture changes like auto-incremented keys [or]
+	// sequence values", so a later local insert on this replica can collide
+	// with a remotely generated key.
 	AdvanceCounters bool
 }
 
@@ -26,14 +27,13 @@ func (e *Engine) ApplyWriteSet(ws *WriteSet, opts ApplyOptions) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.applyWriteSetLocked(ws, opts)
+	return e.applyWriteSetLocked(ws, opts, nil)
 }
 
 // ApplyWriteSets applies a batch of replicated transactions under a single
-// engine lock acquisition — the group-commit form of the slave apply path.
-// Each write-set still commits as its own transaction, with its own commit
-// timestamp and binlog event, preserving the one-event-one-commit alignment
-// that keeps binlog positions comparable across replicas.
+// engine lock acquisition — the group-commit form of write-set apply. Each
+// write-set still commits as its own transaction, with its own commit
+// timestamp and binlog event; nil or empty write-sets are skipped.
 //
 // It returns how many write-sets of the batch were applied. On error the
 // failing write-set is rolled back and application stops; write-sets before
@@ -46,16 +46,41 @@ func (e *Engine) ApplyWriteSets(wss []*WriteSet, opts ApplyOptions) (int, error)
 		if ws == nil || len(ws.Ops) == 0 {
 			continue
 		}
-		if err := e.applyWriteSetLocked(ws, opts); err != nil {
+		if err := e.applyWriteSetLocked(ws, opts, nil); err != nil {
 			return i, err
 		}
 	}
 	return len(wss), nil
 }
 
-// applyWriteSetLocked applies one write-set as one transaction. Caller
-// holds e.mu exclusively.
-func (e *Engine) applyWriteSetLocked(ws *WriteSet, opts ApplyOptions) error {
+// ApplyEvents applies another engine's committed non-DDL binlog events, in
+// order, under a single engine lock acquisition: the slave apply path.
+// Each event commits as one transaction whose own binlog event carries the
+// origin's statements, user, database and *WriteSet, so a log recorded from
+// this engine after it is promoted holds the same entries the origin's
+// would. An event with an empty write set still commits, keeping binlog
+// positions aligned one-event-one-commit with the origin.
+//
+// It returns how many events were applied; on error the failing event is
+// rolled back and the events before it remain committed.
+func (e *Engine) ApplyEvents(evs []Event, opts ApplyOptions) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range evs {
+		if evs[i].DDL || evs[i].WriteSet == nil {
+			return i, fmt.Errorf("engine: apply: event %d carries no write set", evs[i].Seq)
+		}
+		if err := e.applyWriteSetLocked(evs[i].WriteSet, opts, &evs[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(evs), nil
+}
+
+// applyWriteSetLocked applies one write-set as one transaction, logged as
+// origin when that is non-nil (see commitLocked). Caller holds e.mu
+// exclusively.
+func (e *Engine) applyWriteSetLocked(ws *WriteSet, opts ApplyOptions, origin *Event) error {
 	tx := e.beginTxnLocked(ReadCommitted)
 	for _, op := range ws.Ops {
 		if err := e.applyOpLocked(tx, op, opts); err != nil {
@@ -63,8 +88,49 @@ func (e *Engine) applyWriteSetLocked(ws *WriteSet, opts ApplyOptions) error {
 			return err
 		}
 	}
-	_, _, err := e.commitLocked(tx, nil)
+	if opts.AdvanceCounters {
+		e.advanceSequencesLocked(ws.Sequences)
+	}
+	_, _, err := e.commitLocked(tx, nil, origin)
 	return err
+}
+
+// advanceSequencesLocked moves each named sequence that exists here to the
+// origin's position, unless it already stands at or beyond it. Caller holds
+// e.mu exclusively.
+func (e *Engine) advanceSequencesLocked(pos []SequencePos) {
+	for _, p := range pos {
+		d, ok := e.databases[p.Database]
+		if !ok {
+			continue
+		}
+		seq, ok := d.sequences[p.Name]
+		if !ok {
+			continue
+		}
+		if (seq.Increment >= 0 && p.Next > seq.Next) || (seq.Increment < 0 && p.Next < seq.Next) {
+			seq.Next = p.Next
+		}
+	}
+}
+
+// takeMovedSequencesLocked returns the current positions of the sequences
+// NEXTVAL moved since the previous call and forgets them.
+// Caller holds e.mu exclusively.
+func (e *Engine) takeMovedSequencesLocked() []SequencePos {
+	if len(e.movedSeqs) == 0 {
+		return nil
+	}
+	out := make([]SequencePos, 0, len(e.movedSeqs))
+	for k := range e.movedSeqs {
+		if d, ok := e.databases[k.db]; ok {
+			if seq, ok := d.sequences[k.name]; ok {
+				out = append(out, SequencePos{Database: k.db, Name: k.name, Next: seq.Next})
+			}
+		}
+		delete(e.movedSeqs, k)
+	}
+	return out
 }
 
 func (e *Engine) applyOpLocked(tx *Txn, op WriteOp, opts ApplyOptions) error {
@@ -117,6 +183,8 @@ func (e *Engine) applyOpLocked(tx *Txn, op WriteOp, opts ApplyOptions) error {
 		}
 		id := t.nextRowID
 		t.nextRowID++
+		// The one copy at the engine boundary: this engine's stored version
+		// must not share a backing array with the origin's image.
 		tx.ov(key)[id] = &overlayEntry{data: op.After.Clone(), inserted: true}
 		if t.pkCol >= 0 {
 			tx.indexOverlayPK(key, id, op.After[t.pkCol])
@@ -136,7 +204,7 @@ func (e *Engine) applyOpLocked(tx *Txn, op WriteOp, opts ApplyOptions) error {
 		}
 		ent := tx.ov(key)[id]
 		if ent == nil {
-			ent = &overlayEntry{before: op.Before.Clone()}
+			ent = &overlayEntry{before: op.Before}
 			tx.ov(key)[id] = ent
 		}
 		ent.data = op.After.Clone()
@@ -154,7 +222,7 @@ func (e *Engine) applyOpLocked(tx *Txn, op WriteOp, opts ApplyOptions) error {
 		}
 		ent := tx.ov(key)[id]
 		if ent == nil {
-			ent = &overlayEntry{before: op.Before.Clone()}
+			ent = &overlayEntry{before: op.Before}
 			tx.ov(key)[id] = ent
 		}
 		wasInserted := ent.inserted

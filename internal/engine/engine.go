@@ -14,8 +14,9 @@
 //     (Sybase), temp-table rules (§4.1.2–§4.1.4);
 //   - sequences and auto-increment counters that are non-transactional and
 //     never roll back (§4.2.3);
-//   - write-set capture with the documented blind spots: sequence and
-//     auto-increment state is not part of the write set (§4.3.2);
+//   - write-set capture with the documented blind spots: applying a write
+//     set's rows moves no auto-increment counter or sequence (§4.3.2)
+//     unless the applier opts in with ApplyOptions.AdvanceCounters;
 //   - users/grants kept outside table data so naive backups miss them
 //     (§4.1.5).
 package engine
@@ -149,7 +150,15 @@ type Engine struct {
 	rngMu  sync.Mutex
 	rng    *rand.Rand
 	binlog *Binlog
+
+	// movedSeqs names the sequences NEXTVAL advanced since the last
+	// committed write set, which publishes their positions (WriteSet.
+	// Sequences). Guarded by mu held exclusively, as NEXTVAL is.
+	movedSeqs map[seqKey]struct{}
 }
+
+// seqKey names a sequence within the engine.
+type seqKey struct{ db, name string }
 
 // User is an authentication principal with per-database grants (§4.1.5).
 type User struct {

@@ -606,6 +606,50 @@ func TestApplyWriteSetCounterGap(t *testing.T) {
 	mustExec(t, s3, "INSERT INTO items (name) VALUES ('local')")
 }
 
+// TestCommittedImagesAreImmutable: a commit stores the transaction's row as
+// both the new version and the write set's After, without copying, so a
+// later UPDATE of the row must build a new image rather than write through
+// the committed one. A replica applying the event keeps its own copy, and
+// logs the origin's write set rather than a second one.
+func TestCommittedImagesAreImmutable(t *testing.T) {
+	e1, s1 := newTestDB(t, Config{})
+	e2, _ := newTestDB(t, Config{})
+	from := e1.Binlog().Head()
+	mustExec(t, s1, "INSERT INTO items (id, name, stock) VALUES (1, 'a', 3)")
+	evs, _ := e1.Binlog().ReadFrom(from, 0)
+	after := evs[0].WriteSet.Ops[0].After
+	image := after.Clone()
+	stored := e1.databases["shop"].tables["items"].rows[0].versions[0].data
+	if &stored[0] != &after[0] {
+		t.Fatal("the stored version and the write set's After are separate copies")
+	}
+
+	mustExec(t, s1, "UPDATE items SET stock = 4 WHERE id = 1")
+	mustExec(t, s1, "BEGIN")
+	mustExec(t, s1, "UPDATE items SET stock = stock + 1, name = 'b' WHERE id = 1")
+	mustExec(t, s1, "UPDATE items SET stock = stock + 1 WHERE id = 1")
+	mustExec(t, s1, "COMMIT")
+	if !rowsEqual(after, image) {
+		t.Fatalf("committed image changed by later updates: %v, was %v", after, image)
+	}
+
+	from2 := e2.Binlog().Head()
+	if _, err := e2.ApplyEvents(evs[:1], ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	copied := e2.databases["shop"].tables["items"].rows[0].versions[0].data
+	if &copied[0] == &after[0] {
+		t.Fatal("replica's stored version shares its backing array with the origin's After")
+	}
+	if !rowsEqual(copied, image) {
+		t.Fatalf("replica stored %v, want %v", copied, image)
+	}
+	logged, _ := e2.Binlog().ReadFrom(from2, 0)
+	if len(logged) != 1 || logged[0].WriteSet != evs[0].WriteSet {
+		t.Fatal("replica logged its own write set instead of the origin's")
+	}
+}
+
 func TestChecksumDivergenceOnRand(t *testing.T) {
 	// Two replicas executing the same UPDATE ... SET x = rand() diverge.
 	e1, s1 := newTestDB(t, Config{RandSeed: 1})

@@ -489,5 +489,9 @@ func (s *Session) nextval(name string) (sqltypes.Value, error) {
 	}
 	v := seq.Next
 	seq.Next += seq.Increment
+	if s.eng.movedSeqs == nil {
+		s.eng.movedSeqs = make(map[seqKey]struct{})
+	}
+	s.eng.movedSeqs[seqKey{dbName, name}] = struct{}{}
 	return sqltypes.NewInt(v), nil
 }

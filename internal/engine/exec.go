@@ -46,7 +46,7 @@ func (s *Session) dmlLocked(st sqlparse.Statement, args []sqltypes.Value, depth 
 			s.eng.rollbackLocked(tx)
 			return nil, err
 		}
-		if _, _, cerr := s.eng.commitLocked(tx, s); cerr != nil {
+		if _, _, cerr := s.eng.commitLocked(tx, s, nil); cerr != nil {
 			return nil, cerr
 		}
 		s.dropCommitTempTables()
@@ -421,7 +421,7 @@ func (s *Session) execUpdateLocked(tx *Txn, st *sqlparse.Update, args []sqltypes
 		} else {
 			ent := tx.ov(key)[sr.rowID]
 			if ent == nil {
-				ent = &overlayEntry{before: sr.data.Clone()}
+				ent = &overlayEntry{before: sr.data}
 				tx.ov(key)[sr.rowID] = ent
 			}
 			ent.data = newRow
@@ -484,7 +484,7 @@ func (s *Session) execDeleteLocked(tx *Txn, st *sqlparse.Delete, args []sqltypes
 		}
 		ent := tx.ov(key)[sr.rowID]
 		if ent == nil {
-			ent = &overlayEntry{before: sr.data.Clone()}
+			ent = &overlayEntry{before: sr.data}
 			tx.ov(key)[sr.rowID] = ent
 		}
 		wasInserted := ent.inserted

@@ -88,6 +88,18 @@ type rowChain struct {
 	versions []rowVersion // ascending createdTS
 }
 
+// lastWrite returns the commit timestamp of the latest committed write to
+// the row: the newest version's creation, or its deletion when that came
+// later. Snapshot isolation's first-committer-wins check compares it with
+// the committing transaction's snapshot.
+func (c *rowChain) lastWrite() uint64 {
+	if len(c.versions) == 0 {
+		return 0
+	}
+	v := c.versions[len(c.versions)-1]
+	return max(v.createdTS, v.deletedTS)
+}
+
 // visible returns the version of the chain visible at snapshot ts, or nil.
 func (c *rowChain) visible(ts uint64) *rowVersion {
 	for i := len(c.versions) - 1; i >= 0; i-- {
@@ -124,11 +136,10 @@ type Table struct {
 	// version with that primary key; see pkindex.go for the semantics.
 	pkIndex map[uint64][]int64
 
-	rows       map[int64]*rowChain
-	rowOrder   []int64 // insertion order, for stable scans
-	nextRowID  int64
-	autoInc    int64            // non-transactional (§4.3.2)
-	lastWriter map[int64]uint64 // rowID -> commitTS of last committed writer
+	rows      map[int64]*rowChain
+	rowOrder  []int64 // insertion order, for stable scans
+	nextRowID int64
+	autoInc   int64 // non-transactional (§4.3.2)
 
 	// locks maps rowID -> owning txn id for row write locks.
 	locks map[int64]uint64
@@ -166,7 +177,6 @@ func newTable(name string, cols []Column, temp bool) *Table {
 		colsLower:    colsLower,
 		pkIndex:      make(map[uint64][]int64),
 		rows:         make(map[int64]*rowChain),
-		lastWriter:   make(map[int64]uint64),
 		locks:        make(map[int64]uint64),
 		tlockReaders: make(map[uint64]bool),
 	}

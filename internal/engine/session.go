@@ -354,7 +354,7 @@ func (s *Session) commitLocked() (*Result, error) {
 	}
 	tx := s.txn
 	s.txn = nil
-	_, _, err := s.eng.commitLocked(tx, s)
+	_, _, err := s.eng.commitLocked(tx, s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +383,7 @@ func (s *Session) CommitWriteSet() (uint64, *WriteSet, error) {
 	}
 	tx := s.txn
 	s.txn = nil
-	ts, ws, err := s.eng.commitLocked(tx, s)
+	ts, ws, err := s.eng.commitLocked(tx, s, nil)
 	if err == nil {
 		s.dropCommitTempTables()
 	}
@@ -745,7 +745,7 @@ func (s *Session) callLocked(st *sqlparse.Call, args []sqltypes.Value, depth int
 		}
 		tx := s.txn
 		s.txn = nil
-		if _, _, err := s.eng.commitLocked(tx, s); err != nil {
+		if _, _, err := s.eng.commitLocked(tx, s, nil); err != nil {
 			return nil, err
 		}
 	} else if err := runBody(); err != nil {

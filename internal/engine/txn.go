@@ -49,6 +49,12 @@ func (k WriteKind) String() string {
 // identified by primary key so the op can be applied on another replica
 // (§4.3.2). HasPK is false for tables without a primary key; such ops can
 // only be applied by row identity on the origin replica.
+//
+// A committed op's Before and After are the committing engine's own row
+// images: After is the very row stored as the new version, not a copy.
+// Committed images are immutable — no engine, applier or log may write
+// through them — which is what lets one image serve as the stored version,
+// the write-set entry and every slave's binlog event at once.
 type WriteOp struct {
 	Database string
 	Table    string
@@ -60,10 +66,24 @@ type WriteOp struct {
 }
 
 // WriteSet is the ordered list of row changes of a transaction, the unit of
-// transaction-based (certification) replication. It deliberately does NOT
-// include sequence/auto-increment counter movements (§4.3.2).
+// transaction-based (certification) replication. Its rows do not move
+// auto-increment counters, and sequence values handed out by NEXTVAL appear
+// in no row at all (§4.3.2); Sequences records where each sequence stood at
+// commit so an applier that opts in (ApplyOptions.AdvanceCounters) can
+// close that gap.
 type WriteSet struct {
 	Ops []WriteOp
+	// Sequences lists the position at commit of every sequence NEXTVAL
+	// moved on the origin engine since its previous committed write set,
+	// in any session and whether or not this transaction called it.
+	Sequences []SequencePos
+}
+
+// SequencePos is a sequence's next value on the origin engine at a commit.
+type SequencePos struct {
+	Database string
+	Name     string
+	Next     int64
 }
 
 // Tables returns the distinct "db.table" names touched by the write set.
@@ -105,7 +125,7 @@ type overlayEntry struct {
 	data        sqltypes.Row // nil when deleted
 	inserted    bool         // created by this txn
 	deleted     bool
-	before      sqltypes.Row // committed image the txn first saw (for write set)
+	before      sqltypes.Row // committed image the txn first saw, shared with its version (for write set)
 	updateOpped bool         // a WriteUpdate op was already queued
 }
 
@@ -296,7 +316,13 @@ func (e *Engine) releaseLocksLocked(tx *Txn) {
 // commitLocked validates and applies tx. Caller holds e.mu. Returns the
 // commit timestamp (0 for read-only transactions) and the captured write
 // set.
-func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
+//
+// origin is nil for a local commit. A replica applying another engine's
+// event passes that event instead: the commit then logs the origin's
+// statements, user, database and *WriteSet rather than building its own,
+// and logs an event even when tx changed nothing, so binlog positions stay
+// aligned one-event-one-commit with the origin.
+func (e *Engine) commitLocked(tx *Txn, s *Session, origin *Event) (uint64, *WriteSet, error) {
 	if tx.done {
 		return 0, nil, fmt.Errorf("engine: transaction already finished")
 	}
@@ -308,7 +334,7 @@ func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
 		e.rollbackBodyLocked(tx)
 		return 0, nil, ErrTxnAborted
 	}
-	if len(tx.ops) == 0 {
+	if len(tx.ops) == 0 && origin == nil {
 		return 0, &WriteSet{}, nil // read-only
 	}
 
@@ -323,7 +349,7 @@ func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
 			if err != nil {
 				return 0, nil, err
 			}
-			if lw, ok := t.lastWriter[op.rowID]; ok && lw > tx.snapTS {
+			if c := t.rows[op.rowID]; c != nil && c.lastWrite() > tx.snapTS {
 				e.rollbackBodyLocked(tx)
 				return 0, nil, ErrSerialization
 			}
@@ -331,7 +357,6 @@ func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
 	}
 
 	commitTS := e.clock + 1
-	ws := &WriteSet{}
 
 	// Validate PK uniqueness of inserts against the latest committed
 	// state (covers concurrent committed inserts not visible at snapTS).
@@ -356,7 +381,13 @@ func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
 		}
 	}
 
-	// Apply, in op order, building the write set.
+	// Apply, in op order, building the write set. The overlay's rows are
+	// private to tx and die with it, so each becomes the stored version
+	// and the write-set image as is: one committed copy per row.
+	var ws *WriteSet
+	if origin == nil {
+		ws = &WriteSet{Ops: make([]WriteOp, 0, len(tx.ops))}
+	}
 	for _, op := range tx.ops {
 		t, err := e.resolveTableLocked(op.key)
 		if err != nil {
@@ -378,9 +409,9 @@ func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
 				t.rows[op.rowID] = chain
 				t.rowOrder = append(t.rowOrder, op.rowID)
 			}
-			chain.versions = append(chain.versions, rowVersion{createdTS: commitTS, data: ent.data.Clone()})
+			chain.versions = append(chain.versions, rowVersion{createdTS: commitTS, data: ent.data})
 			t.indexPK(ent.data, op.rowID)
-			wop.After = ent.data.Clone()
+			wop.After = ent.data
 		case WriteUpdate:
 			if ent.deleted {
 				continue // superseded by a later delete op
@@ -393,13 +424,13 @@ func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
 			if v := chain.visible(e.clock); v != nil {
 				v.deletedTS = commitTS
 			}
-			chain.versions = append(chain.versions, rowVersion{createdTS: commitTS, data: ent.data.Clone()})
+			chain.versions = append(chain.versions, rowVersion{createdTS: commitTS, data: ent.data})
 			// The update may have moved the row to a new primary key; index
 			// it under the new value too (the old entry stays and is ruled
 			// out by the per-lookup Equal re-check).
 			t.indexPK(ent.data, op.rowID)
-			wop.Before = ent.before.Clone()
-			wop.After = ent.data.Clone()
+			wop.Before = ent.before
+			wop.After = ent.data
 		case WriteDelete:
 			chain := t.rows[op.rowID]
 			if chain == nil {
@@ -408,39 +439,38 @@ func (e *Engine) commitLocked(tx *Txn, s *Session) (uint64, *WriteSet, error) {
 			if v := chain.visible(e.clock); v != nil {
 				v.deletedTS = commitTS
 			}
-			wop.Before = ent.before.Clone()
+			wop.Before = ent.before
 		}
-		t.lastWriter[op.rowID] = commitTS
+		if ws == nil || t.Temp { // temp tables never replicate (§4.1.4)
+			continue
+		}
 		// Identify the row by PK when available.
-		var idRow sqltypes.Row
-		if wop.After != nil {
-			idRow = wop.After
-		} else {
+		idRow := wop.After
+		if idRow == nil {
 			idRow = wop.Before
 		}
 		if t.pkCol >= 0 && idRow != nil {
 			wop.PK = idRow[t.pkCol]
 			wop.HasPK = true
 		}
-		if !t.Temp { // temp tables never replicate (§4.1.4)
-			ws.Ops = append(ws.Ops, wop)
-		}
+		ws.Ops = append(ws.Ops, wop)
 	}
 
 	e.clock = commitTS
 	// Record in the binlog for replication subscribers.
-	user, db := "", ""
-	if s != nil {
-		user, db = s.user, s.currentDB
+	ev := Event{CommitTS: commitTS, TxnID: tx.id}
+	if origin != nil {
+		ev.Stmts, ev.WriteSet, ev.User, ev.Database = origin.Stmts, origin.WriteSet, origin.User, origin.Database
+		ws = origin.WriteSet
+	} else {
+		ws.Sequences = e.takeMovedSequencesLocked()
+		ev.Stmts = append([]string(nil), tx.stmts...)
+		ev.WriteSet = ws
+		if s != nil {
+			ev.User, ev.Database = s.user, s.currentDB
+		}
 	}
-	tx.commitSeq = e.binlog.append(Event{
-		CommitTS: commitTS,
-		TxnID:    tx.id,
-		Stmts:    append([]string(nil), tx.stmts...),
-		WriteSet: ws,
-		User:     user,
-		Database: db,
-	})
+	tx.commitSeq = e.binlog.append(ev)
 	return commitTS, ws, nil
 }
 

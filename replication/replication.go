@@ -234,12 +234,10 @@ func NewAdmissionController(cfg AdmissionConfig) *AdmissionController {
 // (concurrency slots and wait queue full, or per-user limit reached).
 func ErrOverloaded() error { return admission.ErrOverloaded }
 
-// Safety, shipping, consistency and mode enums.
+// Safety, consistency and mode enums.
 const (
 	OneSafe           = core.OneSafe
 	TwoSafe           = core.TwoSafe
-	ShipStatements    = core.ShipStatements
-	ShipWriteSets     = core.ShipWriteSets
 	ReadAny           = core.ReadAny
 	SessionConsistent = core.SessionConsistent
 	StrongConsistent  = core.StrongConsistent

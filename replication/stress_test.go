@@ -20,7 +20,6 @@ func TestClusterParallelReadStress(t *testing.T) {
 	s2 := replication.NewReplica(replication.ReplicaConfig{Name: "s2"})
 	cluster := replication.NewMasterSlave(master, []*replication.Replica{s1, s2},
 		replication.MasterSlaveConfig{
-			Ship:        replication.ShipWriteSets,
 			Consistency: replication.SessionConsistent,
 			ApplyBatch:  16,
 		})
@@ -135,7 +134,6 @@ func TestSlaveApplyBatching(t *testing.T) {
 	master := replication.NewReplica(replication.ReplicaConfig{Name: "m"})
 	cluster := replication.NewMasterSlave(master, nil,
 		replication.MasterSlaveConfig{
-			Ship:       replication.ShipWriteSets,
 			ApplyBatch: 16,
 		})
 	defer cluster.Close()
