@@ -49,8 +49,6 @@ func main() {
 	mmMode := flag.String("mm-mode", "statement", "multi-master replication mode: statement | certification")
 	consistency := flag.String("consistency", "session", "read consistency: any | session | strong")
 	twoSafe := flag.Bool("two-safe", false, "wait for slave receipt before acking commits (ms)")
-	readCost := flag.Duration("read-cost", 0, "modelled per-read service time")
-	writeCost := flag.Duration("write-cost", 0, "modelled per-write service time")
 	monitorEvery := flag.Duration("monitor", 10*time.Millisecond, "health monitor poll interval (durable master-slave only)")
 	queryCache := flag.Int("query-cache", 4096, "query result cache entries (0 disables)")
 	maxConns := flag.Int("max-conns", 0, "max concurrent client connections (0 = unbounded); over-limit connects are refused before handshake with a retryable error")
@@ -91,7 +89,7 @@ func main() {
 			log.Fatalf("repld: -auth wants user:password, got %q", *auth)
 		}
 	}
-	replicaTpl := replication.ReplicaConfig{ReadCost: *readCost, WriteCost: *writeCost}
+	var replicaTpl replication.ReplicaConfig
 	replicaTpl.Engine.RequireAuth = authUser != ""
 
 	var qc *replication.QueryCache

@@ -3,7 +3,7 @@
 // priority wait queue, typed retryable errors, and slow-query accounting.
 //
 // The paper's thesis is that middleware replication fails in production for
-// operational reasons; its flash-crowd discussion (the ticketbroker
+// operational reasons; its flash-crowd discussion (the §1 ticket-broker
 // scenario) is the load shape this package defends against. A fixed number
 // of slots bounds concurrent work; requests beyond that wait in a bounded
 // queue whose per-class allowances form a graceful degradation ladder:

@@ -134,6 +134,29 @@ func TestMSTwoSafeWaitsForReceipt(t *testing.T) {
 	_ = elapsed
 }
 
+// TestMSTwoSafeCommitTimesOutOnce: an explicit COMMIT that no slave
+// confirms returns the 2-safe timeout after one FailoverTimeout, not after
+// one wait on the binlog head and a second on the commit's own position.
+func TestMSTwoSafeCommitTimesOutOnce(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{Safety: TwoSafe, FailoverTimeout: timeout})
+	// The slave receives the next event, then spends a second on it, so
+	// nothing after it is received before the COMMIT gives up.
+	ms.Slaves()[0].Degrade(0, time.Second)
+	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
+	mustExecC(t, sess.Exec, "BEGIN")
+	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (2, 'b')")
+	start := time.Now()
+	_, err := sess.Exec("COMMIT")
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "2-safe commit timed out") {
+		t.Fatalf("COMMIT err = %v, want the 2-safe timeout", err)
+	}
+	if elapsed >= timeout*3/2 {
+		t.Fatalf("COMMIT took %v, want < %v (one 2-safe wait)", elapsed, timeout*3/2)
+	}
+}
+
 func TestMSOneSafeLosesTrailingTransactions(t *testing.T) {
 	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{
 		Safety:     OneSafe,
@@ -190,10 +213,8 @@ func TestMSFailoverPromotesMostUpToDate(t *testing.T) {
 	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{})
 	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
 	waitCaughtUp(t, ms)
-	// Slow one slave far behind.
-	slaves := ms.Slaves()
-	slaves[0].SetSlowFactor(1)
-	laggard := slaves[1]
+	// Hold one slave far behind.
+	laggard := ms.Slaves()[1]
 	laggard.appliedSeq.Store(0) // simulate a lagging slave
 	ms.Master().Fail()
 	promoted, err := ms.Failover()

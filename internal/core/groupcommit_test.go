@@ -137,7 +137,8 @@ func TestGroupCommitClosed(t *testing.T) {
 // same INSERT workload: fsync-per-commit (each commit flushes alone, the
 // serial discipline group commit replaces) against group commit under 16
 // concurrent writers sharing flushes. The reported syncs/op metric is the
-// amortization BENCH_9.json tracks.
+// amortization; recoverylog.syncs_per_commit in go run ./benchmark is the
+// same count end to end.
 func BenchmarkGroupCommit(b *testing.B) {
 	var nextID atomic.Int64
 	nextID.Store(1 << 20) // clear of any setup rows

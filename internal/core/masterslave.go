@@ -360,13 +360,13 @@ func (a *slaveApplier) run(masterEng *engine.Engine, from uint64) {
 }
 
 // receive acknowledges an event's arrival (what 2-safe commits wait for)
-// and pays the slave's per-event delay and write service cost.
+// and pays the slave's per-event delay and any degradation delay.
 func (a *slaveApplier) receive(ev engine.Event) {
 	a.slave.receivedSeq.Store(ev.Seq)
 	if a.delay > 0 {
 		time.Sleep(a.delay)
 	}
-	a.slave.serviceSleep(false)
+	a.slave.applyDelay()
 }
 
 func (a *slaveApplier) stopped() bool {
@@ -992,8 +992,8 @@ type MSSession struct {
 	serializable bool
 	// stmtTimeout is the session's SET DEADLINE budget (0 = none): each
 	// statement gets now+stmtTimeout as its absolute deadline, covering
-	// admission-queue wait, replica worker wait, modelled service time and
-	// engine execution together.
+	// admission-queue wait, replica worker wait, any stall or degradation
+	// delay and engine execution together.
 	stmtTimeout time.Duration
 }
 
@@ -1385,15 +1385,7 @@ func (cs *MSSession) trackTxn(st sqlparse.Statement, args []sqltypes.Value) {
 		cs.inTxn = true
 		cs.txnLog = cs.txnLog[:0]
 		cs.txnLog = append(cs.txnLog, boundStmt{st: st})
-	case *sqlparse.CommitTxn:
-		cs.inTxn = false
-		cs.txnLog = nil
-		master := cs.ms.Master()
-		cs.lastWriteSeq = master.Engine().Binlog().Head()
-		if cs.ms.cfg.Safety == TwoSafe {
-			_ = cs.ms.waitTwoSafe(cs.lastWriteSeq)
-		}
-	case *sqlparse.RollbackTxn:
+	case *sqlparse.CommitTxn, *sqlparse.RollbackTxn:
 		cs.inTxn = false
 		cs.txnLog = nil
 	default:

@@ -318,7 +318,7 @@ func (mm *MultiMaster) applyScript(r *Replica, s *engine.Session, curDB *string,
 		}
 	}
 	for _, sql := range txn.Stmts {
-		r.serviceSleep(false)
+		r.applyDelay()
 		res, err := s.Exec(sql)
 		if err != nil {
 			if !single {
@@ -355,7 +355,7 @@ func (mm *MultiMaster) applyCertified(r *Replica, cert *Certifier, seq uint64, t
 		return txnOutcome{err: err}
 	}
 	defer r.release()
-	r.serviceSleep(false)
+	r.applyDelay()
 	if err := r.Engine().ApplyWriteSet(txn.WS, engine.ApplyOptions{AdvanceCounters: true}); err != nil {
 		return txnOutcome{err: err}
 	}

@@ -9,13 +9,16 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/sqlparse"
 )
 
-// newOverloadMS builds a master-only cluster with a modelled read cost so
-// tests can hold the admission slot for a predictable duration.
-func newOverloadMS(t *testing.T, readCost time.Duration, cfg MasterSlaveConfig) (*MasterSlave, *MSSession) {
+// newOverloadMS builds a master-only cluster whose master is degraded by
+// readDelay per read, so tests can hold the admission slot for a
+// predictable duration.
+func newOverloadMS(t *testing.T, readDelay time.Duration, cfg MasterSlaveConfig) (*MasterSlave, *MSSession) {
 	t.Helper()
-	master := NewReplica(ReplicaConfig{Name: "m", ReadCost: readCost, Concurrency: 1})
+	master := NewReplica(ReplicaConfig{Name: "m", Concurrency: 1})
+	master.Degrade(readDelay, 0)
 	ms := NewMasterSlave(master, nil, cfg)
 	t.Cleanup(ms.Close)
 	sess := ms.NewSession("boot")
@@ -35,7 +38,7 @@ func TestDeadlineCancelsQueuedStatementWithoutLeak(t *testing.T) {
 	adm := admission.NewController(admission.Config{Slots: 1, Queue: 8})
 	ms, _ := newOverloadMS(t, 150*time.Millisecond, MasterSlaveConfig{Admission: adm})
 
-	// Session A occupies the single slot with a modelled 150ms read.
+	// Session A occupies the single slot with a degraded 150ms read.
 	slow := ms.NewSession("slow")
 	defer slow.Close()
 	mustExecC(t, slow.Exec, "USE shop")
@@ -163,4 +166,36 @@ func waitForActive(t *testing.T, adm *admission.Controller, want int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("admission active never reached %d: %+v", want, adm.Stats())
+}
+
+// TestDegradeDelaysClientStatementsWithinDeadline: a degraded replica adds
+// its read delay to every client read, and a statement whose deadline
+// falls inside the delay pays only the remaining budget, then times out.
+func TestDegradeDelaysClientStatementsWithinDeadline(t *testing.T) {
+	r := NewReplica(ReplicaConfig{Name: "r"})
+	s := r.Engine().NewSession("t")
+	defer s.Close()
+	st, err := sqlparse.Parse("SELECT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r.Degrade(20*time.Millisecond, 0)
+	start := time.Now()
+	if _, err := r.ExecStmtArgsDeadlineOn(s, st, true, nil, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
+		t.Fatalf("degraded read took %v, want >= 20ms", elapsed)
+	}
+
+	r.Degrade(time.Second, 0)
+	start = time.Now()
+	_, err = r.ExecStmtArgsDeadlineOn(s, st, true, nil, start.Add(10*time.Millisecond))
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Fatalf("deadline-bound read took %v, want about 10ms", elapsed)
+	}
 }

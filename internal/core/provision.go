@@ -369,9 +369,6 @@ type ResyncOptions struct {
 	// BatchWait is how long to wait for new log entries before declaring
 	// the replica caught up; zero means 50 ms.
 	BatchWait time.Duration
-	// ApplyCost adds per-entry service time on the recovering replica
-	// (the replica still pays execution cost during catch-up).
-	ApplyCost time.Duration
 	// BeforeApply, when non-nil, runs before each entry is applied; an
 	// error aborts the resync at that entry. Operators use it for
 	// throttling, tests for fault injection.
@@ -423,9 +420,6 @@ func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxD
 				return err
 			}
 		}
-		if opts.ApplyCost > 0 {
-			time.Sleep(opts.ApplyCost)
-		}
 		return applyLogEntry(session, e)
 	}
 	applyParallel := func(e recoverylog.Entry) error {
@@ -435,9 +429,6 @@ func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxD
 			if err := opts.BeforeApply(e); err != nil {
 				return err
 			}
-		}
-		if opts.ApplyCost > 0 {
-			time.Sleep(opts.ApplyCost)
 		}
 		s := rep.Engine().NewSession("resync")
 		defer s.Close()

@@ -30,17 +30,12 @@ type ReplicaConfig struct {
 	// Concurrency is the number of statements the replica executes at
 	// once (worker slots); zero means 8.
 	Concurrency int
-	// ReadCost and WriteCost model per-statement service time. They are
-	// what makes scalability shapes reproducible on one machine: a replica
-	// is a concurrent server whose capacity is Concurrency/cost.
-	ReadCost  time.Duration
-	WriteCost time.Duration
 	// Weight is the load balancing weight (0 means 1).
 	Weight float64
 }
 
-// Replica wraps an engine with a bounded worker pool, modelled service
-// times, health state, and replication progress counters.
+// Replica wraps an engine with a bounded worker pool, health state, the
+// stall and degradation faults, and replication progress counters.
 type Replica struct {
 	name   string
 	eng    *engine.Engine
@@ -49,9 +44,12 @@ type Replica struct {
 	queued lb.Counter
 
 	healthy atomic.Bool
-	// slowFactor scales service time; fault injection uses it for the
-	// "RAID controller loses its battery" scenario (§4.1.3).
-	slowFactor atomic.Value // float64
+	// degradeRead and degradeWrite are the extra time (ns) each client
+	// read or write, and each applied replication event, spends on a
+	// degraded replica — the "RAID controller loses its battery" anomaly
+	// of §4.1.3. Zero on a healthy replica.
+	degradeRead  atomic.Int64
+	degradeWrite atomic.Int64
 
 	// stallCh gates client statements while the replica is stalled
 	// (responding to nothing, crashed for nobody — the gray failure the
@@ -103,7 +101,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		sem:  make(chan struct{}, cfg.Concurrency),
 	}
 	r.healthy.Store(true)
-	r.slowFactor.Store(1.0)
 	return r
 }
 
@@ -180,20 +177,20 @@ func (r *Replica) stallGate() chan struct{} {
 	return r.stallCh
 }
 
-// SetSlowFactor scales the replica's service time (1 = nominal, 2 = half
-// speed). Models degraded hardware (§4.1.3).
-func (r *Replica) SetSlowFactor(f float64) {
-	if f < 1 {
-		f = 1
-	}
-	r.slowFactor.Store(f)
+// Degrade makes every client read take `read` longer and every client
+// write, and every replication event the replica applies, take `write`
+// longer: degraded hardware that still answers health checks (§4.1.3).
+// Degrade(0, 0) restores full speed.
+func (r *Replica) Degrade(read, write time.Duration) {
+	r.degradeRead.Store(int64(read))
+	r.degradeWrite.Store(int64(write))
 }
 
 // ErrReplicaDown is returned when executing against a failed replica.
 var ErrReplicaDown = fmt.Errorf("core: replica is down")
 
 // ErrDeadlineExceeded is returned when a statement's deadline expires while
-// waiting for a worker slot or during its modelled service time. It wraps
+// waiting for a worker slot, a stall or a degradation delay. It wraps
 // context.DeadlineExceeded so one errors.Is check classifies deadline
 // expiry from every layer of the stack.
 var ErrDeadlineExceeded = fmt.Errorf("core: replica wait deadline exceeded: %w", context.DeadlineExceeded)
@@ -245,24 +242,19 @@ func (r *Replica) release() {
 	r.queued.Dec()
 }
 
-// serviceSleep models the statement's service time. Used by appliers,
-// which have no deadline and ignore stalls (a stalled replica stops
-// answering clients; its replication stream keeps draining).
-func (r *Replica) serviceSleep(isRead bool) {
-	cost := r.cfg.WriteCost
-	if isRead {
-		cost = r.cfg.ReadCost
+// applyDelay charges a degraded replica's write delay to one applied
+// replication event. Appliers have no deadline and ignore stalls (a
+// stalled replica stops answering clients; its replication stream keeps
+// draining).
+func (r *Replica) applyDelay() {
+	if d := time.Duration(r.degradeWrite.Load()); d > 0 {
+		time.Sleep(d)
 	}
-	if cost <= 0 {
-		return
-	}
-	f := r.slowFactor.Load().(float64)
-	time.Sleep(time.Duration(float64(cost) * f))
 }
 
-// serviceWait is serviceSleep for the client path: it parks while the
-// replica is stalled and truncates the service time at the statement's
-// deadline (zero deadline = unbounded).
+// serviceWait gates a client statement: it parks while the replica is
+// stalled, then pays a degraded replica's delay, truncated at the
+// statement's deadline (zero deadline = unbounded).
 func (r *Replica) serviceWait(isRead bool, deadline time.Time) error {
 	for stall := r.stallGate(); stall != nil; stall = r.stallGate() {
 		if deadline.IsZero() {
@@ -277,15 +269,13 @@ func (r *Replica) serviceWait(isRead bool, deadline time.Time) error {
 			return ErrDeadlineExceeded
 		}
 	}
-	cost := r.cfg.WriteCost
+	d := time.Duration(r.degradeWrite.Load())
 	if isRead {
-		cost = r.cfg.ReadCost
+		d = time.Duration(r.degradeRead.Load())
 	}
-	if cost <= 0 {
+	if d <= 0 {
 		return nil
 	}
-	f := r.slowFactor.Load().(float64)
-	d := time.Duration(float64(cost) * f)
 	if !deadline.IsZero() {
 		if rem := time.Until(deadline); rem < d {
 			// The statement cannot finish inside its budget: pay only the
@@ -300,8 +290,8 @@ func (r *Replica) serviceWait(isRead bool, deadline time.Time) error {
 	return nil
 }
 
-// ExecOn runs one SQL-text statement on the given session with the
-// replica's service model applied: a convenience wrapper over ExecStmtOn,
+// ExecOn runs one SQL-text statement on the given session through the
+// replica's worker pool: a convenience wrapper over ExecStmtOn,
 // which every router uses directly with its already-parsed AST.
 func (r *Replica) ExecOn(s *engine.Session, sql string, isRead bool) (*engine.Result, error) {
 	st, err := sqlparse.ParseCached(sql)
@@ -311,8 +301,8 @@ func (r *Replica) ExecOn(s *engine.Session, sql string, isRead bool) (*engine.Re
 	return r.ExecStmtOn(s, st, isRead)
 }
 
-// ExecStmtOn runs a pre-parsed statement on the given session with the
-// replica's service model applied. This is the router hot path: the
+// ExecStmtOn runs a pre-parsed statement on the given session through the
+// replica's worker pool. This is the router hot path: the
 // middleware parses (or cache-hits) once and the backend executes the same
 // AST, instead of re-serializing to SQL text and parsing again.
 func (r *Replica) ExecStmtOn(s *engine.Session, st sqlparse.Statement, isRead bool) (*engine.Result, error) {
@@ -327,8 +317,8 @@ func (r *Replica) ExecStmtArgsOn(s *engine.Session, st sqlparse.Statement, isRea
 }
 
 // ExecStmtArgsDeadlineOn is the deadline-aware hot path: the absolute
-// deadline bounds the worker-slot wait, the modelled service time (stall
-// included), and — via Session.SetDeadline — the engine execution itself,
+// deadline bounds the worker-slot wait, any stall or degradation delay,
+// and — via Session.SetDeadline — the engine execution itself,
 // so one budget covers the whole statement no matter where it spends it.
 func (r *Replica) ExecStmtArgsDeadlineOn(s *engine.Session, st sqlparse.Statement, isRead bool, args []sqltypes.Value, deadline time.Time) (*engine.Result, error) {
 	if err := r.acquireDeadline(deadline); err != nil {

@@ -422,13 +422,21 @@ func TestMigrationResumesAcrossSourceFailover(t *testing.T) {
 
 // ---- autoscaler ----
 
+// slowReader is a replica degraded by `read` per client read, so a
+// reader holds its admission slot long enough to register as load.
+func slowReader(name string, read time.Duration) *core.Replica {
+	r := core.NewReplica(core.ReplicaConfig{Name: name})
+	r.Degrade(read, 0)
+	return r
+}
+
 // TestAutoscalerFlashCrowd drives sustained high occupancy through the
 // admission controller and expects the autoscaler to provision at least one
 // replica, then retire it after the load stops and the cooldown passes.
 func TestAutoscalerFlashCrowd(t *testing.T) {
 	adm := admission.NewController(admission.Config{Slots: 2})
-	master := core.NewReplica(core.ReplicaConfig{Name: "m", ReadCost: 500 * time.Microsecond})
-	slave := core.NewReplica(core.ReplicaConfig{Name: "s1", ReadCost: 500 * time.Microsecond})
+	master := slowReader("m", 500*time.Microsecond)
+	slave := slowReader("s1", 500*time.Microsecond)
 	ms := core.NewMasterSlave(master, []*core.Replica{slave}, core.MasterSlaveConfig{
 		Consistency: core.ReadAny, Admission: adm,
 	})
@@ -451,7 +459,7 @@ func TestAutoscalerFlashCrowd(t *testing.T) {
 		MaxReplicas: 3,
 		Spare: func() *core.Replica {
 			spareSeq++
-			return core.NewReplica(core.ReplicaConfig{Name: fmt.Sprintf("auto-%d", spareSeq), ReadCost: 500 * time.Microsecond})
+			return slowReader(fmt.Sprintf("auto-%d", spareSeq), 500*time.Microsecond)
 		},
 	})
 	if err != nil {
@@ -507,7 +515,7 @@ func TestAutoscalerFlashCrowd(t *testing.T) {
 // per window (plus the in-flight one).
 func TestAutoscalerCooldownBoundsTransitions(t *testing.T) {
 	adm := admission.NewController(admission.Config{Slots: 2})
-	master := core.NewReplica(core.ReplicaConfig{Name: "m", ReadCost: 200 * time.Microsecond})
+	master := slowReader("m", 200*time.Microsecond)
 	ms := core.NewMasterSlave(master, nil, core.MasterSlaveConfig{
 		Consistency: core.ReadAny, ReadFromMaster: true, Admission: adm,
 	})
@@ -531,7 +539,7 @@ func TestAutoscalerCooldownBoundsTransitions(t *testing.T) {
 		MaxReplicas: 4,
 		Spare: func() *core.Replica {
 			spareSeq++
-			return core.NewReplica(core.ReplicaConfig{Name: fmt.Sprintf("auto-%d", spareSeq), ReadCost: 200 * time.Microsecond})
+			return slowReader(fmt.Sprintf("auto-%d", spareSeq), 200*time.Microsecond)
 		},
 	})
 	if err != nil {

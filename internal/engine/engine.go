@@ -109,13 +109,6 @@ type Config struct {
 	BinlogCapacity int
 	// RequireAuth makes session creation demand a known user (§4.1.5).
 	RequireAuth bool
-	// ExecCost models per-statement service time spent inside the engine's
-	// concurrency scope: shared for parallel read-only statements, exclusive
-	// for writes. Zero (the default) executes at memory speed. Benchmarks
-	// and tests set it to make lock-model scalability shapes reproducible on
-	// a single machine, the same technique ReplicaConfig.ReadCost/WriteCost
-	// use one layer up.
-	ExecCost time.Duration
 }
 
 // Engine is a single replica's database engine: a set of database
@@ -125,9 +118,7 @@ type Config struct {
 // non-serializable isolation — hold it shared, so MVCC snapshot scans from
 // many sessions proceed in parallel. Serializable sessions stay on the
 // exclusive path because their table-level 2PL mutates lock state even for
-// reads. Statement execution is short (in-memory) unless Config.ExecCost
-// models a service time; the replication layer models additional service
-// time outside the engine.
+// reads.
 type Engine struct {
 	mu        sync.RWMutex
 	cfg       Config

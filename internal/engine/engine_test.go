@@ -236,6 +236,27 @@ func TestSerializableTableLocking(t *testing.T) {
 	mustExec(t, s2, "COMMIT")
 }
 
+// TestSerializableSeesCommitBeforeFirstLock is the lost-update regression:
+// a serializable transaction takes its table locks lazily, so a write
+// committed between its BEGIN and its first lock on the table must be
+// visible to it. Reading the value from BEGIN would let two
+// read-modify-write transactions both update from the same old value.
+func TestSerializableSeesCommitBeforeFirstLock(t *testing.T) {
+	e, s := newTestDB(t, Config{})
+	mustExec(t, s, "INSERT INTO items (name, stock) VALUES ('k', 1)")
+	s1 := e.NewSession("t1")
+	s2 := e.NewSession("t2")
+	mustExec(t, s1, "USE shop")
+	mustExec(t, s2, "USE shop")
+	mustExec(t, s1, "SET ISOLATION LEVEL SERIALIZABLE")
+	mustExec(t, s1, "BEGIN")
+	mustExec(t, s2, "UPDATE items SET stock = 777 WHERE name = 'k'")
+	if got := queryInt(t, s1, "SELECT stock FROM items WHERE name = 'k'"); got != 777 {
+		t.Fatalf("serializable txn read stock = %d, want the committed 777", got)
+	}
+	mustExec(t, s1, "COMMIT")
+}
+
 func TestErrorPoisonsTxnOnPostgresProfile(t *testing.T) {
 	_, s := newTestDB(t, Config{Profile: ProfilePostgres})
 	mustExec(t, s, "BEGIN")

@@ -168,25 +168,12 @@ func (s *Session) ExecStmtArgs(st sqlparse.Statement, args ...sqltypes.Value) (*
 }
 
 // execTopLocked runs one top-level statement under whichever engine lock mode
-// the caller chose, paying the configured per-statement service time.
-// Deadlines are enforced at statement boundaries: a statement whose
-// deadline expired while waiting for the engine lock fails before doing any
-// work, and the modelled service time is truncated at the deadline.
+// the caller chose. Deadlines are enforced at statement boundaries: a
+// statement whose deadline expired while waiting for the engine lock fails
+// before doing any work.
 func (s *Session) execTopLocked(st sqlparse.Statement, args []sqltypes.Value) (*Result, error) {
-	if !s.effDeadline.IsZero() {
-		rem := time.Until(s.effDeadline)
-		if rem <= 0 {
-			return nil, ErrDeadlineExceeded
-		}
-		if c := s.eng.cfg.ExecCost; c > 0 && rem < c {
-			// The statement cannot finish inside its budget: pay only the
-			// remaining budget, then time out.
-			time.Sleep(rem)
-			return nil, ErrDeadlineExceeded
-		}
-	}
-	if c := s.eng.cfg.ExecCost; c > 0 {
-		time.Sleep(c)
+	if !s.effDeadline.IsZero() && time.Until(s.effDeadline) <= 0 {
+		return nil, ErrDeadlineExceeded
 	}
 	res, err := s.execLocked(st, args, 0)
 	if err != nil {

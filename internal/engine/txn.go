@@ -252,6 +252,11 @@ func (e *Engine) lockRow(tx *Txn, t *Table, rowID int64) error {
 }
 
 // lockTable acquires a table-level lock (2PL for serializable sessions).
+// Each new grant moves the transaction's snapshot to the current clock: a
+// write committed between BEGIN and the first lock on its table must be
+// visible, or two read-modify-write transactions both update from the old
+// value (a lost update). Tables locked earlier cannot have changed since,
+// because their locks are held to commit.
 func (e *Engine) lockTable(tx *Txn, t *Table, exclusive bool) error {
 	// Re-entrancy: upgrade shared->exclusive if needed.
 	deadline := time.Now().Add(e.cfg.LockTimeout)
@@ -262,6 +267,7 @@ func (e *Engine) lockTable(tx *Txn, t *Table, exclusive bool) error {
 				if t.tlockOwner != tx.id {
 					t.tlockOwner = tx.id
 					tx.tableLocks = append(tx.tableLocks, heldTableLock{t: t, exclusive: true})
+					tx.snapTS = e.clock
 				}
 				return nil
 			}
@@ -270,6 +276,7 @@ func (e *Engine) lockTable(tx *Txn, t *Table, exclusive bool) error {
 				if !t.tlockReaders[tx.id] {
 					t.tlockReaders[tx.id] = true
 					tx.tableLocks = append(tx.tableLocks, heldTableLock{t: t, exclusive: false})
+					tx.snapTS = e.clock
 				}
 				return nil
 			}

@@ -38,16 +38,12 @@ func (in *Injector) CrashRestart(r *core.Replica, after, down time.Duration) {
 	})
 }
 
-// DegradeRAIDBattery halves the replica's speed after the delay — the
-// "RAID controller ... suddenly becomes 2x slower when the battery fails,
-// and the OS rarely finds out" anomaly of §4.1.3.
-func (in *Injector) DegradeRAIDBattery(r *core.Replica, after time.Duration) {
-	in.schedule(after, func() { r.SetSlowFactor(2) })
-}
-
-// Degrade applies an arbitrary slow factor after the delay.
-func (in *Injector) Degrade(r *core.Replica, factor float64, after time.Duration) {
-	in.schedule(after, func() { r.SetSlowFactor(factor) })
+// Degrade slows the replica after the delay: each client read takes `read`
+// longer, each client write and applied replication event `write` longer —
+// the "RAID controller ... suddenly becomes 2x slower when the battery
+// fails, and the OS rarely finds out" anomaly of §4.1.3.
+func (in *Injector) Degrade(r *core.Replica, read, write, after time.Duration) {
+	in.schedule(after, func() { r.Degrade(read, write) })
 }
 
 // Stall freezes the replica's client-facing service after the delay without

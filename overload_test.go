@@ -54,10 +54,9 @@ func TestOverloadNoCollapse(t *testing.T) {
 		Slots: slots, Queue: 8 * slots,
 	})
 	newRep := func(name string) *replication.Replica {
-		return replication.NewReplica(replication.ReplicaConfig{
-			Name: name, ReadCost: 2 * time.Millisecond, WriteCost: 4 * time.Millisecond,
-			Concurrency: 4,
-		})
+		r := replication.NewReplica(replication.ReplicaConfig{Name: name, Concurrency: 4})
+		r.Degrade(2*time.Millisecond, 4*time.Millisecond)
+		return r
 	}
 	master := newRep("m")
 	ms := replication.NewMasterSlave(master,
