@@ -89,7 +89,12 @@ var certConsistencies = []struct {
 	{"strong", replication.StrongConsistent},
 }
 
-var certTopologies = []string{"master-slave", "multi-master", "partitioned", "wan"}
+// certTopologies lists the matrix rows. standalone is one engine behind the
+// master-slave router with no slaves: it certifies the engine's own
+// isolation levels, so an engine bug shows there first rather than being
+// misread as a replication bug. It sits last so the other rows keep their
+// seeds.
+var certTopologies = []string{"master-slave", "multi-master", "partitioned", "wan", "standalone"}
 
 // expectedCheck maps one matrix cell to the strongest offline check the
 // configuration soundly promises. The reasoning, per dimension:
@@ -101,7 +106,8 @@ var certTopologies = []string{"master-slave", "multi-master", "partitioned", "wa
 //     committed-prefix read.
 //   - master-slave has one binlog; session/strong reads are monotone
 //     prefixes of it, so the requested level is sound (and strong adds
-//     real-time edges: reads wait for the master's head).
+//     real-time edges: reads wait for the master's head). standalone is
+//     the same with every read served by the master.
 //   - multi-master certification is first-committer-wins over the totally
 //     ordered write stream — snapshot isolation by construction, never
 //     serializable, so the requested level is capped at snapshot.
@@ -120,7 +126,7 @@ func expectedCheck(topo string, cons replication.Consistency, req history.Level)
 	}
 	rt := cons == replication.StrongConsistent
 	switch topo {
-	case "master-slave":
+	case "master-slave", "standalone":
 		return req, rt
 	case "multi-master":
 		if req > history.SnapshotIsolation {
@@ -199,6 +205,10 @@ func buildCertCluster(t *testing.T, topo string, cons replication.Consistency) (
 	switch topo {
 	case "master-slave":
 		ms := testutil.BuildMasterSlave(t, 2, replication.MasterSlaveConfig{Consistency: cons})
+		testutil.CreateDB(t, ms, "app")
+		return ms, nil
+	case "standalone":
+		ms := testutil.BuildMasterSlave(t, 0, replication.MasterSlaveConfig{Consistency: cons})
 		testutil.CreateDB(t, ms, "app")
 		return ms, nil
 	case "multi-master":
@@ -351,7 +361,7 @@ func assertCertVerdict(t *testing.T, h *history.History, level history.Level, rt
 	}
 }
 
-// TestConsistencyCertificationMatrix is the fault-free matrix: 4 topologies
+// TestConsistencyCertificationMatrix is the fault-free matrix: 5 topologies
 // × 3 isolation levels × 3 consistency guarantees, each cell checked at the
 // strongest level the configuration soundly promises.
 func TestConsistencyCertificationMatrix(t *testing.T) {

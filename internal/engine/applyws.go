@@ -151,7 +151,8 @@ func (e *Engine) applyOpLocked(tx *Txn, op WriteOp, opts ApplyOptions) error {
 			// Search overlay-aware current state through the overlay pk
 			// index (linear overlay walks would make batch apply O(n²)).
 			ov := tx.overlay[key]
-			for _, id := range tx.pkOv[key][sqltypes.HashValue(pk)] {
+			var buf [1]int64
+			for _, id := range tx.overlayPKIDs(key, sqltypes.HashValue(pk), buf[:0]) {
 				if ent := ov[id]; ent != nil && ent.data != nil && sqltypes.Equal(ent.data[t.pkCol], pk) {
 					return id, nil
 				}
@@ -164,7 +165,7 @@ func (e *Engine) applyOpLocked(tx *Txn, op WriteOp, opts ApplyOptions) error {
 		// No PK: match the full before image (fragile by design — the
 		// paper's point about write-set replication needing keys).
 		for _, id := range t.rowOrder {
-			if v := t.rows[id].visible(e.clock); v != nil && rowsEqual(v.data, op.Before) {
+			if v := t.chain(id).visible(e.clock); v != nil && rowsEqual(v.data, op.Before) {
 				return id, nil
 			}
 		}

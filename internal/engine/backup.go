@@ -110,7 +110,7 @@ func (e *Engine) Dump(opts BackupOptions) (*Backup, error) {
 			t := d.tables[tn]
 			td := TableDump{Name: tn, Columns: specsFromColumns(t.Columns)}
 			for _, id := range t.rowOrder {
-				if v := t.rows[id].visible(ts); v != nil {
+				if v := t.chain(id).visible(ts); v != nil {
 					td.Rows = append(td.Rows, v.data.Clone())
 				}
 			}
@@ -214,8 +214,7 @@ func (e *Engine) Restore(b *Backup) error {
 			for _, row := range td.Rows {
 				id := t.nextRowID
 				t.nextRowID++
-				t.rows[id] = &rowChain{versions: []rowVersion{{createdTS: e.clock, data: row.Clone()}}}
-				t.rowOrder = append(t.rowOrder, id)
+				t.newChain(id, rowVersion{createdTS: e.clock, data: row.Clone()})
 				t.indexPK(row, id)
 			}
 			t.autoInc = td.AutoInc

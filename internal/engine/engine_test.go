@@ -640,10 +640,15 @@ func TestCommittedImagesAreImmutable(t *testing.T) {
 	evs, _ := e1.Binlog().ReadFrom(from, 0)
 	after := evs[0].WriteSet.Ops[0].After
 	image := after.Clone()
-	stored := e1.databases["shop"].tables["items"].rows[0].versions[0].data
+	stored := e1.databases["shop"].tables["items"].chain(0).versions[0].data
 	if &stored[0] != &after[0] {
 		t.Fatal("the stored version and the write set's After are separate copies")
 	}
+
+	// A neighbour on the same row page, so its first version sits beside
+	// the updated row's in the page's slab.
+	mustExec(t, s1, "INSERT INTO items (id, name, stock) VALUES (2, 'n', 7)")
+	neighbour := e1.databases["shop"].tables["items"].chain(1).versions[0].data.Clone()
 
 	mustExec(t, s1, "UPDATE items SET stock = 4 WHERE id = 1")
 	mustExec(t, s1, "BEGIN")
@@ -653,12 +658,19 @@ func TestCommittedImagesAreImmutable(t *testing.T) {
 	if !rowsEqual(after, image) {
 		t.Fatalf("committed image changed by later updates: %v, was %v", after, image)
 	}
+	if got := e1.databases["shop"].tables["items"].chain(1).versions; len(got) != 1 || !rowsEqual(got[0].data, neighbour) {
+		t.Fatalf("neighbour's versions changed by updates of row 1: %v, was %v", got, neighbour)
+	}
+	res := mustExec(t, s1, "SELECT * FROM items WHERE id = 2")
+	if len(res.Rows) != 1 || !rowsEqual(res.Rows[0], neighbour) {
+		t.Fatalf("neighbour reads %v, want %v", res.Rows, neighbour)
+	}
 
 	from2 := e2.Binlog().Head()
 	if _, err := e2.ApplyEvents(evs[:1], ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	copied := e2.databases["shop"].tables["items"].rows[0].versions[0].data
+	copied := e2.databases["shop"].tables["items"].chain(0).versions[0].data
 	if &copied[0] == &after[0] {
 		t.Fatal("replica's stored version shares its backing array with the origin's After")
 	}

@@ -132,7 +132,7 @@ func (s *Session) filterLocked(b *binder, tx *Txn, key tableKey, t *Table, where
 				continue
 			}
 			row = ent.data
-		} else if v := t.rows[id].visible(tx.snapTS); v != nil {
+		} else if v := t.chain(id).visible(tx.snapTS); v != nil {
 			row = v.data
 		} else {
 			continue
@@ -148,7 +148,7 @@ func (s *Session) filterLocked(b *binder, tx *Txn, key tableKey, t *Table, where
 		if op.key != key || op.kind != WriteInsert {
 			continue
 		}
-		if _, exists := t.rows[op.rowID]; exists {
+		if t.chain(op.rowID) != nil {
 			continue
 		}
 		if ent := ov[op.rowID]; ent != nil && !ent.deleted {
@@ -316,8 +316,7 @@ func (s *Session) execInsertLocked(tx *Txn, st *sqlparse.Insert, args []sqltypes
 			// this engine; apply immediately and skip the write set.
 			id := t.nextRowID
 			t.nextRowID++
-			t.rows[id] = &rowChain{versions: []rowVersion{{data: row}}}
-			t.rowOrder = append(t.rowOrder, id)
+			t.newChain(id, rowVersion{data: row})
 			t.indexPK(row, id)
 			tx.usedTempTables = true
 		} else {
@@ -380,7 +379,7 @@ func (s *Session) execUpdateLocked(tx *Txn, st *sqlparse.Update, args []sqltypes
 			// bound predicate on it; snapshot isolation proceeds and relies
 			// on first-committer-wins at commit.
 			if tx.iso == ReadCommitted {
-				if v := t.rows[sr.rowID]; v != nil {
+				if v := t.chain(sr.rowID); v != nil {
 					latest := v.visible(s.eng.clock)
 					if latest == nil {
 						continue // deleted meanwhile
@@ -411,7 +410,7 @@ func (s *Session) execUpdateLocked(tx *Txn, st *sqlparse.Update, args []sqltypes
 			}
 		}
 		if t.Temp {
-			chain := t.rows[sr.rowID]
+			chain := t.chain(sr.rowID)
 			chain.versions[len(chain.versions)-1].data = newRow
 			// Temp updates apply in place with no MVCC history, so move
 			// the index entry rather than accumulating one per former key.
@@ -462,16 +461,10 @@ func (s *Session) execDeleteLocked(tx *Txn, st *sqlparse.Delete, args []sqltypes
 	res := &Result{}
 	for _, sr := range rows {
 		if t.Temp {
-			delete(t.rows, sr.rowID)
-			for i, id := range t.rowOrder {
-				if id == sr.rowID {
-					t.rowOrder = append(t.rowOrder[:i], t.rowOrder[i+1:]...)
-					break
-				}
-			}
+			t.dropChain(sr.rowID)
 			// Temp deletes free the chain outright (no MVCC history), so
 			// drop the index entry too or churning temp tables would grow
-			// their buckets without bound.
+			// their index without bound.
 			t.unindexPK(sr.data, sr.rowID)
 			tx.usedTempTables = true
 			res.RowsAffected++

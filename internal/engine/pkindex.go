@@ -2,15 +2,17 @@ package engine
 
 import "repro/internal/sqltypes"
 
-// This file implements the primary-key point-lookup fast path: a per-table
-// hash index from primary-key value to internal rowIDs, plus the planner
-// check that turns `WHERE pk = <constant|param>` SELECT/UPDATE/DELETE into
-// an O(1) MVCC chain lookup instead of a scan of the whole table.
+// This file implements the primary-key point-lookup fast path: a hash index
+// from primary-key value to internal rowIDs, kept per table and per
+// transaction overlay, plus the planner check that turns `WHERE pk =
+// <constant|param>` SELECT/UPDATE/DELETE into an O(1) MVCC chain lookup
+// instead of a scan of the whole table.
 //
-// Index semantics. pkIndex maps HashValue(pk) -> rowIDs whose version chain
-// has EVER committed a version carrying that pk. It is an over-approximate
-// accelerator, not the truth: lookups always re-verify by walking the
-// chain's visible-at-snapshot version and comparing the stored key with
+// Index semantics. A pkIndex maps HashValue(pk) -> rowIDs whose version chain
+// has EVER committed a version carrying that pk (for Txn.pkOv: whose pending
+// overlay entry ever carried it). It is an over-approximate accelerator, not
+// the truth: lookups always re-verify by walking the chain's
+// visible-at-snapshot version and comparing the stored key with
 // sqltypes.Equal. That makes the index trivially correct across MVCC:
 //
 //   - rollback / first-committer-wins aborts: nothing is indexed before
@@ -20,71 +22,124 @@ import "repro/internal/sqltypes"
 //   - pk-changing updates: the rowID is indexed under both the old and the
 //     new key; the Equal re-check picks the right one per snapshot;
 //   - two different rows using the same pk at different times (delete +
-//     re-insert) simply share a bucket.
+//     re-insert) are both listed under that key.
 //
-// Buckets only grow (entries for keys a row no longer carries are skipped,
-// never removed); with unique primary keys a bucket holds one entry per
-// row identity that ever used the key, which stays tiny in practice.
+// Layout. With unique primary keys nearly every hash names exactly one row,
+// so the index stores that one rowID inline in a map[uint64]int64 (no
+// per-key heap object for the garbage collector to mark). A hash that names
+// a second row — a reused key or a hash collision — moves to the overflow
+// map, whose slice lists every rowID for it in indexing order; a hash is in
+// exactly one of the two maps. Entries only accumulate (ids for keys a row no
+// longer carries are skipped, never removed) except on temp tables, whose
+// deletes and updates free history outright and call remove.
+
+// pkIndex is the one-slot-plus-overflow primary-key index. The zero value is
+// an empty index.
+type pkIndex struct {
+	one  map[uint64]int64   // hash -> its only rowID
+	more map[uint64][]int64 // hash -> its rowIDs, when there are several
+}
+
+// ids returns the rowIDs indexed under h, in the order they were added. A
+// single id is appended to buf (callers pass a stack array's empty slice),
+// so the common probe allocates nothing.
+func (x *pkIndex) ids(h uint64, buf []int64) []int64 {
+	if id, ok := x.one[h]; ok {
+		return append(buf, id)
+	}
+	return x.more[h]
+}
+
+// add indexes id under h; adding an id already there is a no-op.
+func (x *pkIndex) add(h uint64, id int64) {
+	if old, ok := x.one[h]; ok {
+		if old == id {
+			return
+		}
+		delete(x.one, h)
+		if x.more == nil {
+			x.more = make(map[uint64][]int64)
+		}
+		x.more[h] = []int64{old, id}
+		return
+	}
+	if ids, ok := x.more[h]; ok {
+		for _, y := range ids {
+			if y == id {
+				return
+			}
+		}
+		x.more[h] = append(ids, id)
+		return
+	}
+	if x.one == nil {
+		x.one = make(map[uint64]int64)
+	}
+	x.one[h] = id
+}
+
+// remove drops id from h's entry.
+func (x *pkIndex) remove(h uint64, id int64) {
+	if old, ok := x.one[h]; ok {
+		if old == id {
+			delete(x.one, h)
+		}
+		return
+	}
+	ids := x.more[h]
+	for i, y := range ids {
+		if y == id {
+			if len(ids) == 1 {
+				delete(x.more, h)
+			} else {
+				x.more[h] = append(ids[:i], ids[i+1:]...)
+			}
+			return
+		}
+	}
+}
 
 // indexPK records that row (about to be committed, restored or — for temp
 // tables — applied) carries its current primary-key value under rowID.
 func (t *Table) indexPK(row sqltypes.Row, id int64) {
-	if t.pkCol < 0 || row == nil {
-		return
+	if t.pkCol >= 0 && row != nil {
+		t.pk.add(sqltypes.HashValue(row[t.pkCol]), id)
 	}
-	h := sqltypes.HashValue(row[t.pkCol])
-	bucket := t.pkIndex[h]
-	for _, x := range bucket {
-		if x == id {
-			return
-		}
+}
+
+// unindexPK removes row's id from the entry of its current primary key.
+// Only temp-table writes use it: they free or overwrite the row outright,
+// whereas MVCC tables keep deleted chains (and therefore their index
+// entries) for older snapshots.
+func (t *Table) unindexPK(row sqltypes.Row, id int64) {
+	if t.pkCol >= 0 && row != nil {
+		t.pk.remove(sqltypes.HashValue(row[t.pkCol]), id)
 	}
-	t.pkIndex[h] = append(bucket, id)
 }
 
 // indexOverlayPK records that the transaction's pending row id currently
 // carries pk. Every overlay mutation that sets row data must call it, so the
 // per-transaction index stays complete; stale entries (rows later moved or
-// deleted) are ruled out by the per-probe re-check, exactly like
-// Table.pkIndex.
+// deleted) are ruled out by the per-probe re-check, exactly like Table.pk.
 func (tx *Txn) indexOverlayPK(key tableKey, id int64, pk sqltypes.Value) {
 	if tx.pkOv == nil {
-		tx.pkOv = make(map[tableKey]map[uint64][]int64)
+		tx.pkOv = make(map[tableKey]*pkIndex)
 	}
-	m := tx.pkOv[key]
-	if m == nil {
-		m = make(map[uint64][]int64)
-		tx.pkOv[key] = m
+	x := tx.pkOv[key]
+	if x == nil {
+		x = &pkIndex{}
+		tx.pkOv[key] = x
 	}
-	h := sqltypes.HashValue(pk)
-	bucket := m[h]
-	for _, x := range bucket {
-		if x == id {
-			return
-		}
-	}
-	m[h] = append(bucket, id)
+	x.add(sqltypes.HashValue(pk), id)
 }
 
-// unindexPK removes row's id from the bucket of its current primary key.
-// Only temp-table deletes use it: they free the row chain outright, whereas
-// MVCC tables keep deleted chains (and therefore their index entries) for
-// older snapshots.
-func (t *Table) unindexPK(row sqltypes.Row, id int64) {
-	if t.pkCol < 0 || row == nil {
-		return
+// overlayPKIDs returns the pending rowIDs of table key indexed under h (see
+// pkIndex.ids for buf).
+func (tx *Txn) overlayPKIDs(key tableKey, h uint64, buf []int64) []int64 {
+	if x := tx.pkOv[key]; x != nil {
+		return x.ids(h, buf)
 	}
-	h := sqltypes.HashValue(row[t.pkCol])
-	bucket := t.pkIndex[h]
-	for i, x := range bucket {
-		if x == id {
-			t.pkIndex[h] = append(bucket[:i], bucket[i+1:]...)
-			if len(t.pkIndex[h]) == 0 {
-				delete(t.pkIndex, h)
-			}
-			return
-		}
-	}
+	return nil
 }
 
 // pkLookupLocked appends to out the rows visible to tx whose primary key
@@ -96,8 +151,9 @@ func (t *Table) unindexPK(row sqltypes.Row, id int64) {
 func (s *Session) pkLookupLocked(tx *Txn, key tableKey, t *Table, v sqltypes.Value, out []scanRow) []scanRow {
 	ov := tx.overlay[key]
 	h := sqltypes.HashValue(v)
+	var buf [1]int64
 	if len(ov) > 0 {
-		for _, id := range tx.pkOv[key][h] {
+		for _, id := range tx.overlayPKIDs(key, h, buf[:0]) {
 			ent := ov[id]
 			if ent == nil || ent.deleted || ent.data == nil {
 				continue
@@ -107,11 +163,11 @@ func (s *Session) pkLookupLocked(tx *Txn, key tableKey, t *Table, v sqltypes.Val
 			}
 		}
 	}
-	for _, id := range t.pkIndex[h] {
+	for _, id := range t.pk.ids(h, buf[:0]) {
 		if _, shadowed := ov[id]; shadowed {
 			continue // overlay already decided this row's fate above
 		}
-		chain := t.rows[id]
+		chain := t.chain(id)
 		if chain == nil {
 			continue // temp-table delete removed the chain; stale entry
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sqltypes"
@@ -34,7 +35,7 @@ func verifyPKIndex(t *testing.T, eng *Engine, db, table string) {
 		return
 	}
 	for _, id := range tbl.rowOrder {
-		v := tbl.rows[id].visible(eng.clock)
+		v := tbl.chain(id).visible(eng.clock)
 		if v == nil {
 			continue
 		}
@@ -381,7 +382,8 @@ func TestPKIndexTempTable(t *testing.T) {
 	}
 	// Insert/update/delete churn must not grow the index: temp tables keep
 	// no MVCC history, so deletes and pk-moving updates unindex in place.
-	for i := 0; i < 200; i++ {
+	// Each round takes a new rowID, so the churn crosses row pages.
+	for i := 0; i < 2*rowPageSize; i++ {
 		if err := s.ExecScript("INSERT INTO tmp (id, v) VALUES (50, 1);" +
 			"UPDATE tmp SET id = 60 WHERE id = 50;" +
 			"DELETE FROM tmp WHERE id = 60"); err != nil {
@@ -389,12 +391,68 @@ func TestPKIndexTempTable(t *testing.T) {
 		}
 	}
 	tmp := s.tempTables["tmp"]
-	for _, key := range []int64{50, 60} {
-		if n := len(tmp.pkIndex[sqltypes.HashValue(sqltypes.NewInt(key))]); n > 1 {
+	for _, key := range []int64{3, 50, 60} {
+		if n := len(tmp.pk.ids(sqltypes.HashValue(sqltypes.NewInt(key)), nil)); n > 1 {
 			t.Fatalf("temp churn leaked %d index entries under key %d", n, key)
 		}
 	}
+	// Deletes free row storage too: every page the churn emptied is
+	// released, and no freed slot still references its deleted row.
+	pages := 0
+	for _, pg := range tmp.pages {
+		if pg != nil {
+			pages++
+		}
+	}
+	if pages > 1 {
+		t.Fatalf("temp churn holds %d row pages, want at most 1", pages)
+	}
+	live := map[int64]bool{}
+	for _, id := range tmp.rowOrder {
+		live[id] = true
+	}
+	for id := int64(0); id < tmp.nextRowID; id++ {
+		pg := tmp.pages[id/rowPageSize]
+		if live[id] || pg == nil {
+			continue
+		}
+		if c, v := pg.chains[id%rowPageSize], pg.first[id%rowPageSize]; c.versions != nil || v.data != nil {
+			t.Fatalf("freed temp row %d still referenced by its page slot", id)
+		}
+	}
 	_ = eng
+}
+
+// TestPKIndexOverflow drives the index's two maps directly, since reused
+// keys reach the overflow list only through MVCC tables (which never
+// remove) and hash collisions not at all in practice: a hash naming a
+// second rowID keeps its ids in indexing order, and removing them empties
+// both maps.
+func TestPKIndexOverflow(t *testing.T) {
+	var x pkIndex
+	check := func(want ...int64) {
+		t.Helper()
+		if got := x.ids(7, nil); !slices.Equal(got, want) {
+			t.Fatalf("ids = %v, want %v", got, want)
+		}
+	}
+	x.add(7, 1)
+	x.add(7, 1)
+	check(1)
+	x.add(7, 2)
+	x.add(7, 3)
+	x.add(7, 2)
+	check(1, 2, 3)
+	x.remove(7, 2)
+	check(1, 3)
+	x.remove(7, 1)
+	x.remove(7, 3)
+	check()
+	if len(x.one)+len(x.more) != 0 {
+		t.Fatalf("emptied index still holds %d + %d entries", len(x.one), len(x.more))
+	}
+	x.add(7, 4)
+	check(4)
 }
 
 // TestPointLookupCrossKind pins the eligibility rules: exact cross-kind

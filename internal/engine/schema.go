@@ -83,9 +83,31 @@ type rowVersion struct {
 	data      sqltypes.Row
 }
 
-// rowChain is the version history of a single row identity.
+// rowChain is the version history of a single row identity. Chains live
+// inline in their table's row pages (see rowPage), never as heap objects of
+// their own; a chain with no versions is an empty slot.
 type rowChain struct {
 	versions []rowVersion // ascending createdTS
+}
+
+// rowPageSize is the number of row slots per rowPage.
+const rowPageSize = 256
+
+// rowPage holds the chains of rowPageSize consecutive rowIDs, plus a slab
+// holding each chain's first version. Most rows are written once, so most
+// chains never leave the slab: a committed row costs the page a slot and
+// the garbage collector nothing beyond the row's own data.
+//
+// A new chain's versions is a cap-1 window on its slab slot. The first
+// later append (an UPDATE's new version) therefore cannot grow in place: it
+// moves the chain to an array of its own, so a chain never writes into a
+// neighbour's slot and committed images stay where readers found them. Only
+// the deletedTS of the slot's version changes in place, as it would in any
+// array.
+type rowPage struct {
+	chains [rowPageSize]rowChain
+	first  [rowPageSize]rowVersion
+	used   int // slots whose chain has a version
 }
 
 // lastWrite returns the commit timestamp of the latest committed write to
@@ -115,6 +137,10 @@ func (c *rowChain) visible(ts uint64) *rowVersion {
 }
 
 // Table stores rows as MVCC version chains keyed by an internal rowID.
+// RowIDs are dense (nextRowID only grows), so the chains sit in fixed-size
+// pages indexed by rowID / rowPageSize instead of a map: a row lookup is two
+// slice indexes, and the chains of n rows are n/rowPageSize heap objects,
+// not two or three per row. rowOrder, not page order, defines scan order.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -132,12 +158,12 @@ type Table struct {
 	// each column reference through it once per statement.
 	colsLower map[string]int
 
-	// pkIndex maps HashValue(pk) -> rowIDs whose chain ever committed a
-	// version with that primary key; see pkindex.go for the semantics.
-	pkIndex map[uint64][]int64
+	// pk maps HashValue(pk) -> rowIDs whose chain ever committed a version
+	// with that primary key; see pkindex.go for the semantics.
+	pk pkIndex
 
-	rows      map[int64]*rowChain
-	rowOrder  []int64 // insertion order, for stable scans
+	pages     []*rowPage // page i holds rowIDs [i*rowPageSize, (i+1)*rowPageSize); nil when empty
+	rowOrder  []int64    // insertion order, for stable scans
 	nextRowID int64
 	autoInc   int64 // non-transactional (§4.3.2)
 
@@ -175,10 +201,58 @@ func newTable(name string, cols []Column, temp bool) *Table {
 		uniqueCols:   unique,
 		pkOnlyUnique: pk >= 0 && len(unique) == 1 && unique[0] == pk,
 		colsLower:    colsLower,
-		pkIndex:      make(map[uint64][]int64),
-		rows:         make(map[int64]*rowChain),
 		locks:        make(map[int64]uint64),
 		tlockReaders: make(map[uint64]bool),
+	}
+}
+
+// chain returns the version chain of row id, or nil when the row has no
+// committed version (never committed, or a freed temp-table row).
+func (t *Table) chain(id int64) *rowChain {
+	if p := id / rowPageSize; p < int64(len(t.pages)) && t.pages[p] != nil {
+		if c := &t.pages[p].chains[id%rowPageSize]; len(c.versions) > 0 {
+			return c
+		}
+	}
+	return nil
+}
+
+// newChain stores v as the first version of row id, whose slot must be
+// empty, and appends id to the scan order.
+func (t *Table) newChain(id int64, v rowVersion) {
+	p := id / rowPageSize
+	for int64(len(t.pages)) <= p {
+		t.pages = append(t.pages, nil)
+	}
+	pg := t.pages[p]
+	if pg == nil {
+		pg = new(rowPage)
+		t.pages[p] = pg
+	}
+	i := id % rowPageSize
+	pg.first[i] = v
+	pg.chains[i].versions = pg.first[i : i+1 : i+1]
+	pg.used++
+	t.rowOrder = append(t.rowOrder, id)
+}
+
+// dropChain frees row id's chain outright and removes it from the scan
+// order. Only temp tables, which keep no MVCC history, free chains; clearing
+// the slab slot and releasing an emptied page keeps a churning temp table
+// from pinning the rows it deleted.
+func (t *Table) dropChain(id int64) {
+	p, i := id/rowPageSize, id%rowPageSize
+	pg := t.pages[p]
+	pg.chains[i] = rowChain{}
+	pg.first[i] = rowVersion{}
+	if pg.used--; pg.used == 0 {
+		t.pages[p] = nil
+	}
+	for j, x := range t.rowOrder {
+		if x == id {
+			t.rowOrder = append(t.rowOrder[:j], t.rowOrder[j+1:]...)
+			break
+		}
 	}
 }
 
@@ -203,8 +277,9 @@ func (t *Table) pkValue(row sqltypes.Row) (sqltypes.Value, bool) {
 // primary key, or -1. It consults the pk index instead of scanning rowOrder,
 // re-verifying each candidate against the visible version (pkindex.go).
 func (t *Table) findByPK(pk sqltypes.Value, ts uint64) int64 {
-	for _, id := range t.pkIndex[sqltypes.HashValue(pk)] {
-		c := t.rows[id]
+	var buf [1]int64
+	for _, id := range t.pk.ids(sqltypes.HashValue(pk), buf[:0]) {
+		c := t.chain(id)
 		if c == nil {
 			continue
 		}
@@ -272,7 +347,7 @@ func (e *Engine) TableChecksum(db, table string) (uint64, error) {
 	var sum uint64
 	var n uint64
 	for _, id := range t.rowOrder {
-		if v := t.rows[id].visible(ts); v != nil {
+		if v := t.chain(id).visible(ts); v != nil {
 			sum ^= sqltypes.HashRow(v.data)
 			n++
 		}
@@ -316,7 +391,7 @@ func (e *Engine) RowCount(db, table string) (int, error) {
 	}
 	n := 0
 	for _, id := range t.rowOrder {
-		if t.rows[id].visible(e.clock) != nil {
+		if t.chain(id).visible(e.clock) != nil {
 			n++
 		}
 	}

@@ -140,12 +140,12 @@ type Txn struct {
 
 	overlay map[tableKey]map[int64]*overlayEntry
 	// pkOv indexes overlay entries by HashValue(pk), mirroring
-	// Table.pkIndex for the transaction's own pending rows so point
+	// Table.pk for the transaction's own pending rows so point
 	// lookups (and the per-insert uniqueness check) never walk the whole
 	// overlay — what keeps transactional bulk INSERT O(n). Entries are
 	// over-approximate and re-verified against the live overlay entry on
 	// every probe (pkindex.go).
-	pkOv map[tableKey]map[uint64][]int64
+	pkOv map[tableKey]*pkIndex
 	// insertOrder preserves write-set ordering.
 	ops []pendingOp
 
@@ -356,7 +356,7 @@ func (e *Engine) commitLocked(tx *Txn, s *Session, origin *Event) (uint64, *Writ
 			if err != nil {
 				return 0, nil, err
 			}
-			if c := t.rows[op.rowID]; c != nil && c.lastWrite() > tx.snapTS {
+			if c := t.chain(op.rowID); c != nil && c.lastWrite() > tx.snapTS {
 				e.rollbackBodyLocked(tx)
 				return 0, nil, ErrSerialization
 			}
@@ -410,20 +410,16 @@ func (e *Engine) commitLocked(tx *Txn, s *Session, origin *Event) (uint64, *Writ
 			if ent.deleted { // inserted then deleted inside the txn
 				continue
 			}
-			chain := t.rows[op.rowID]
-			if chain == nil {
-				chain = &rowChain{}
-				t.rows[op.rowID] = chain
-				t.rowOrder = append(t.rowOrder, op.rowID)
-			}
-			chain.versions = append(chain.versions, rowVersion{createdTS: commitTS, data: ent.data})
+			// op.rowID was drawn from nextRowID at insert time, so its
+			// slot has never held a chain.
+			t.newChain(op.rowID, rowVersion{createdTS: commitTS, data: ent.data})
 			t.indexPK(ent.data, op.rowID)
 			wop.After = ent.data
 		case WriteUpdate:
 			if ent.deleted {
 				continue // superseded by a later delete op
 			}
-			chain := t.rows[op.rowID]
+			chain := t.chain(op.rowID)
 			if chain == nil {
 				continue
 			}
@@ -439,7 +435,7 @@ func (e *Engine) commitLocked(tx *Txn, s *Session, origin *Event) (uint64, *Writ
 			wop.Before = ent.before
 			wop.After = ent.data
 		case WriteDelete:
-			chain := t.rows[op.rowID]
+			chain := t.chain(op.rowID)
 			if chain == nil {
 				continue
 			}

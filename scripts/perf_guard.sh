@@ -24,7 +24,7 @@ guard() {
   done
 }
 
-guard ./internal/engine/ TestParallelReadThroughputScales TestPointLookupFastPathThreshold TestPreparedFasterThanParsePerCall TestScanAllocBudget
+guard ./internal/engine/ TestParallelReadThroughputScales TestPointLookupFastPathThreshold TestPreparedFasterThanParsePerCall TestScanAllocBudget TestRowStorageObjectBudget
 guard ./internal/core/ TestCachedReadsThreshold TestGroupCommitAmortization
 guard ./internal/wire/ TestWirePreparedExecThreshold TestWirePipelinedThroughputThreshold
 guard . TestHistoryRecordingOverheadBudget TestOverloadNoCollapse TestMigrationWriteStallBudget
