@@ -50,12 +50,19 @@ type Health struct {
 	Head uint64
 	// MaxLag is the largest apply backlog (in events) of any replica.
 	MaxLag uint64
+	// Faults lists replication that has stopped on an error, one entry
+	// each (for a WAN: every site→site link an apply error stopped).
+	Faults []string
 }
 
 // String renders the health snapshot for logs.
 func (h Health) String() string {
-	return fmt.Sprintf("%s: %d/%d replicas healthy, head=%d, max-lag=%d",
+	s := fmt.Sprintf("%s: %d/%d replicas healthy, head=%d, max-lag=%d",
 		h.Topology, h.HealthyReplicas, h.Replicas, h.Head, h.MaxLag)
+	for _, f := range h.Faults {
+		s += "; " + f
+	}
+	return s
 }
 
 // Cluster is the topology-agnostic cluster handle. All four controllers

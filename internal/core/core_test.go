@@ -761,10 +761,16 @@ type sqlVal = sqltypesValue
 
 func newWAN(t *testing.T, latency time.Duration) (*WAN, map[string]*WSession) {
 	t.Helper()
+	return newWANWith(t, latency, ReplicaConfig{})
+}
+
+// newWANWith is newWAN with every site master built from cfg.
+func newWANWith(t *testing.T, latency time.Duration, cfg ReplicaConfig) (*WAN, map[string]*WSession) {
+	t.Helper()
 	sites := []*SiteConfig{}
 	names := []string{"eu", "us", "asia"}
 	for _, n := range names {
-		reps := newReplicas(t, 1, ReplicaConfig{})
+		reps := newReplicas(t, 1, cfg)
 		reps[0].name = n + "-master"
 		cluster := NewMasterSlave(reps[0], nil, MasterSlaveConfig{ReadFromMaster: true})
 		t.Cleanup(cluster.Close)
@@ -828,6 +834,76 @@ func TestWANAsyncConvergence(t *testing.T) {
 	res := mustExecC(t, sessions["asia"].Exec, "SELECT COUNT(*) FROM bookings")
 	if res.Rows[0][0].Int() != 2 {
 		t.Fatalf("asia count = %d", res.Rows[0][0].Int())
+	}
+}
+
+// TestWANApplyErrorStopsLink: eu and us insert the same primary key before
+// either hears of the other's row. Shipping each row to the other site must
+// fail with the duplicate-key error, and that error must stop the link and
+// show in LinkErrors and Health, not be dropped while the sites diverge.
+func TestWANApplyErrorStopsLink(t *testing.T) {
+	w, sessions := newWAN(t, 100*time.Millisecond)
+	mustExecC(t, sessions["eu"].Exec, "INSERT INTO bookings (id, region, what) VALUES (1, 'eu', 'hotel')")
+	mustExecC(t, sessions["us"].Exec, "INSERT INTO bookings (id, region, what) VALUES (1, 'us', 'car')")
+	links := []string{"eu->us", "us->eu"}
+	deadline := time.Now().Add(10 * time.Second)
+	var errs map[string]error
+	for {
+		errs = w.LinkErrors()
+		if errs[links[0]] != nil && errs[links[1]] != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("links %v never reported an apply error: %v", links, errs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	health := w.Health().String()
+	for _, link := range links {
+		if !errors.Is(errs[link], engine.ErrDuplicateKey) {
+			t.Errorf("%s: %v, want a duplicate-key error", link, errs[link])
+		}
+		if !strings.Contains(health, errs[link].Error()) {
+			t.Errorf("health %q does not report %s: %v", health, link, errs[link])
+		}
+	}
+}
+
+// TestWANRetriesLockTimeout: a transaction at us holds the row a shipped eu
+// update needs for many of us's lock timeouts. Each apply that times out is
+// rolled back and applied again, so the update lands once the row is free
+// and the link keeps shipping instead of stopping.
+func TestWANRetriesLockTimeout(t *testing.T) {
+	w, sessions := newWANWith(t, time.Millisecond,
+		ReplicaConfig{Engine: engine.Config{LockTimeout: 20 * time.Millisecond}})
+	us := w.site("us").Cluster.Master().Engine().NewSession("local")
+	defer us.Close()
+	mustExecC(t, us.Exec, "USE shop")
+	waitWhat := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			res := mustExecC(t, us.Exec, "SELECT what FROM bookings WHERE id = 1")
+			if len(res.Rows) == 1 && res.Rows[0][0].Str() == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("us never saw what = %q: %v (link errors %v)", want, res.Rows, w.LinkErrors())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	mustExecC(t, sessions["eu"].Exec, "INSERT INTO bookings (id, region, what) VALUES (1, 'eu', 'hotel')")
+	waitWhat("hotel")
+
+	mustExecC(t, us.Exec, "BEGIN")
+	mustExecC(t, us.Exec, "UPDATE bookings SET what = 'held' WHERE id = 1")
+	mustExecC(t, sessions["eu"].Exec, "UPDATE bookings SET what = 'flight' WHERE id = 1")
+	time.Sleep(200 * time.Millisecond) // about ten lock timeouts at us
+	mustExecC(t, us.Exec, "ROLLBACK")
+	waitWhat("flight")
+	if errs := w.LinkErrors(); len(errs) != 0 {
+		t.Fatalf("a lock wait timeout stopped a link: %v", errs)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -56,7 +58,9 @@ type WAN struct {
 
 	mu       sync.Mutex
 	shippers []func() // cancel functions
-	shipped  map[string]uint64
+	// linkErrs holds, per site→site link ("from->to"), the first apply
+	// error at the destination; it stopped that link's shipper.
+	linkErrs map[string]error
 }
 
 // SetAdmission attaches an overload controller to the geo router. Call it
@@ -71,7 +75,7 @@ func NewWAN(sites []*SiteConfig, cfg WANConfig) (*WAN, error) {
 	if len(sites) < 2 {
 		return nil, fmt.Errorf("core: a WAN needs at least 2 sites")
 	}
-	w := &WAN{cfg: cfg, sites: sites, shipped: make(map[string]uint64)}
+	w := &WAN{cfg: cfg, sites: sites, linkErrs: make(map[string]error)}
 	for _, from := range sites {
 		for _, to := range sites {
 			if from == to {
@@ -92,7 +96,11 @@ func (w *WAN) latency(a, b string) time.Duration {
 }
 
 // startShipper asynchronously replays `from`'s locally-originated commits
-// at `to`, delayed by the inter-site latency.
+// at `to`, delayed by the inter-site latency. An event that meets a lock
+// wait timeout or a serialization failure at `to` was rolled back there and
+// is applied again. Any other error stops the link: applying later events
+// past a lost one would let the sites diverge silently, so the error is kept
+// for LinkErrors and Health.
 func (w *WAN) startShipper(from, to *SiteConfig) {
 	ch, cancel := from.Cluster.Master().Engine().Binlog().Subscribe(1024)
 	session := to.Cluster.Master().Engine().NewSession(wanUser)
@@ -113,13 +121,36 @@ func (w *WAN) startShipper(from, to *SiteConfig) {
 				time.Sleep(w.latency(from.Name, to.Name))
 				// Async apply at the destination master; its local slaves
 				// pick the event up via normal intra-site shipping.
-				_ = applyStatements(session, to.Cluster.Master().Engine(), ev)
+				err := applyStatements(session, to.Cluster.Master().Engine(), ev)
+				for retryable(err) {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					err = applyStatements(session, to.Cluster.Master().Engine(), ev)
+				}
+				if err != nil {
+					w.mu.Lock()
+					w.linkErrs[from.Name+"->"+to.Name] = fmt.Errorf("core: wan link %s->%s stopped at binlog seq %d: %w",
+						from.Name, to.Name, ev.Seq, err)
+					w.mu.Unlock()
+					cancel()
+					return
+				}
 			}
 		}
 	}()
 	w.mu.Lock()
 	w.shippers = append(w.shippers, func() { close(stop); cancel() })
 	w.mu.Unlock()
+}
+
+// retryable reports whether an apply failed only because of a concurrent
+// transaction at the destination, so that applying the event again can
+// succeed.
+func retryable(err error) bool {
+	return errors.Is(err, engine.ErrLockTimeout) || errors.Is(err, engine.ErrSerialization)
 }
 
 // applyStatements re-executes one event's statements on s as one
@@ -165,6 +196,18 @@ func applyStatements(s *engine.Session, eng *engine.Engine, ev engine.Event) err
 	}
 	_, err := s.ExecStmt(&sqlparse.CommitTxn{})
 	return err
+}
+
+// LinkErrors returns the error that stopped each stopped site→site link,
+// keyed "from->to". A link that is still shipping has no entry.
+func (w *WAN) LinkErrors() map[string]error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make(map[string]error, len(w.linkErrs))
+	for link, err := range w.linkErrs {
+		out[link] = err
+	}
+	return out
 }
 
 // Close stops cross-site shipping (site clusters remain running).
@@ -225,6 +268,10 @@ func (w *WAN) Health() Health {
 			h.MaxLag = sh.MaxLag
 		}
 	}
+	for _, err := range w.LinkErrors() {
+		h.Faults = append(h.Faults, err.Error())
+	}
+	sort.Strings(h.Faults) // each names its link, so this orders by link
 	return h
 }
 

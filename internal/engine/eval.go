@@ -12,10 +12,13 @@ import (
 // execution: it resolves every column reference to a position in the
 // statement's row scope, every operator and function name to an opcode, and
 // every literal, ? parameter, session variable, procedure parameter and
-// (uncorrelated) IN subquery to its value. eval then runs the bound tree
-// directly on a stored row — no name lookup, no string compare and no
-// allocation per row — which is what lets a scan examine rows it will drop
-// without producing garbage for them.
+// (uncorrelated) IN subquery to its value. The bound tree then runs directly
+// on a stored row: eval computes a value — projections, SET, INSERT values —
+// and a WHERE or ON clause is tested by the predicate kernel (pred.go), which
+// answers a three-valued truth, reads column and constant operands in place
+// and runs eval only at the nodes it has no test for. Neither looks a name
+// up, compares a string or allocates per row, which is what lets a scan
+// examine rows it will drop without producing garbage for them.
 
 type opcode uint8
 
@@ -281,16 +284,6 @@ func (b *binder) bindColumn(cr *sqlparse.ColumnRef) (*bexpr, error) {
 		return nil, fmt.Errorf("engine: column %q referenced outside row context", cr.SQL())
 	}
 	return nil, fmt.Errorf("engine: unknown column %q", cr.SQL())
-}
-
-// matches reports whether row satisfies the predicate (nil accepts every
-// row) with SQL semantics: NULL counts as false.
-func (b *binder) matches(where *bexpr, row sqltypes.Row) (bool, error) {
-	if where == nil {
-		return true, nil
-	}
-	v, err := b.eval(where, row)
-	return !v.IsNull() && v.Bool(), err
 }
 
 // eval evaluates a bound expression on row (nil in a scope with no tables).

@@ -254,14 +254,14 @@ func TestUpdateRechecksBoundPredicateAfterLockWait(t *testing.T) {
 
 var (
 	fuzzColumns = []Column{{Name: "a", Type: sqltypes.KindInt}, {Name: "b", Type: sqltypes.KindInt},
-		{Name: "s", Type: sqltypes.KindString}, {Name: "f", Type: sqltypes.KindFloat}}
+		{Name: "s", Type: sqltypes.KindString}, {Name: "f", Type: sqltypes.KindFloat}, {Name: "d", Type: sqltypes.KindTime}}
 	fuzzRows = []sqltypes.Row{
-		{sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewString("apple"), sqltypes.NewFloat(1.5)},
-		{sqltypes.Null, sqltypes.NewInt(0), sqltypes.NewString("Banana"), sqltypes.Null},
-		{sqltypes.NewInt(-3), sqltypes.Null, sqltypes.Null, sqltypes.NewFloat(-0.5)},
-		{sqltypes.NewInt(0), sqltypes.NewInt(7), sqltypes.NewString(""), sqltypes.NewFloat(2)},
-		{sqltypes.NewInt(10), sqltypes.NewInt(10), sqltypes.NewString("a%b_c"), sqltypes.NewFloat(0)},
-		{sqltypes.Null, sqltypes.Null, sqltypes.Null, sqltypes.Null},
+		{sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewString("apple"), sqltypes.NewFloat(1.5), fuzzTime(1)},
+		{sqltypes.Null, sqltypes.NewInt(0), sqltypes.NewString("Banana"), sqltypes.Null, fuzzTime(0)},
+		{sqltypes.NewInt(-3), sqltypes.Null, sqltypes.Null, sqltypes.NewFloat(-0.5), sqltypes.Null},
+		{sqltypes.NewInt(0), sqltypes.NewInt(7), sqltypes.NewString(""), sqltypes.NewFloat(2), fuzzTime(5)},
+		{sqltypes.NewInt(10), sqltypes.NewInt(10), sqltypes.NewString("a%b_c"), sqltypes.NewFloat(0), fuzzTime(-10)},
+		{sqltypes.Null, sqltypes.Null, sqltypes.Null, sqltypes.Null, sqltypes.Null},
 	}
 	fuzzArgs = []sqltypes.Value{sqltypes.NewInt(2), sqltypes.Null, sqltypes.NewString("a%"), sqltypes.NewFloat(0.5)}
 	// refFuncs is the arity of each deterministic scalar function (-1: any).
@@ -269,6 +269,10 @@ var (
 )
 
 var errSkip = fmt.Errorf("not covered by the reference")
+
+// fuzzTime is a TIMESTAMP nanoseconds after the epoch: it compares with
+// numbers by its nanosecond count.
+func fuzzTime(ns int64) sqltypes.Value { return sqltypes.Value{K: sqltypes.KindTime, I: ns} }
 
 // refResolve is the reference's bind step: every name in the tree must
 // resolve, whether or not evaluation would reach it. It reports the first
@@ -481,10 +485,13 @@ func refEval(e sqlparse.Expr, row sqltypes.Row) (sqltypes.Value, error) {
 	return null, fmt.Errorf("reference: cannot evaluate %T", e)
 }
 
-// FuzzBoundEval parses the input as one SELECT item over t(a, b, s, f),
-// binds it, and compares the bound evaluator with refEval on rows that carry
-// NULLs in every position: same error text, same NULL-ness, same kind and
-// value. The seeds walk the expression grammar FuzzParse's corpus exercises.
+// FuzzBoundEval parses the input as one SELECT item over t(a, b, s, f, d),
+// binds it, and compares three evaluations on rows that carry NULLs in every
+// position: refEval, the bound evaluator, and the predicate kernel on the
+// bound tree. eval must match the reference's error text, NULL-ness,
+// kind and value; the kernel its error text and its truth as a predicate.
+// The seeds walk the expression grammar FuzzParse's corpus exercises, every
+// kernel node, and every pair of kinds the kernel hands to sqltypes.Compare.
 func FuzzBoundEval(f *testing.F) {
 	for _, seed := range []string{
 		"a = 1", "a != b", "a < b", "a <= 2", "b > a", "f >= 0.5", "a = ?", "s = 'apple'", "1 = 1.0", "s < 5",
@@ -500,6 +507,11 @@ func FuzzBoundEval(f *testing.F) {
 		"COALESCE(a, 1 / 0)", "UPPER(s) LIKE 'A%' AND f IS NOT NULL", "a = b AND NOT (a < b OR b >= f) AND s != 'x'",
 		"t.a = T.B", "x.a = 1", "nope", "FROB(a)", "MOD(a)", "a = ? AND b = ? AND s = ? AND f = ? AND a = ?", "COUNT(*)",
 		"TRUE", "FALSE OR NULL", "1 + 2 * 3", "-1", "'it''s'", "1e308 * 10 - 1e308 * 10",
+		// Kernel nodes, and the cross-kind pairs they hand to Compare.
+		"1 < a", "a >= b", "f >= a", "a = 1.5", "s = a", "a != s", "d > a", "d = 1", "a <= d", "d BETWEEN a AND 5",
+		"b = ? OR a = ?", "NULL IS NULL", "? IS NOT NULL", "a BETWEEN b AND 10", "NOT (a BETWEEN b AND 1 / 0)",
+		"a IN (1, NULL, b)", "a NOT IN (NULL, 2)", "f IN (1, 2)", "d IN (0, 5)", "NOT (a < 1 OR s IS NULL)",
+		"a = 1 AND NOT b IS NULL AND f BETWEEN -1 AND 2 AND s IN ('apple', '')",
 	} {
 		f.Add(seed)
 	}
@@ -542,8 +554,19 @@ func FuzzBoundEval(f *testing.F) {
 			if gotErr == nil && (got.Kind() != want.Kind() || !sqltypes.Equal(got, want)) {
 				t.Fatalf("%s on %v: %s %v, reference %s %v", e.SQL(), row, got.Kind(), got, want.Kind(), want)
 			}
-			if keep, _ := b.matches(n, row); gotErr == nil && keep != (!want.IsNull() && want.Bool()) {
-				t.Fatalf("%s on %v: matches = %v for %v", e.SQL(), row, keep, want)
+			kt, kErr := b.test(n, row)
+			if fmt.Sprint(kErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s on %v: kernel error %v, reference %v", e.SQL(), row, kErr, wantErr)
+			}
+			wantTruth := tFalse
+			switch {
+			case want.IsNull():
+				wantTruth = tNull
+			case want.Bool():
+				wantTruth = tTrue
+			}
+			if wantErr == nil && kt != wantTruth {
+				t.Fatalf("%s on %v: kernel truth %d, reference %v", e.SQL(), row, kt, want)
 			}
 		}
 	})

@@ -115,8 +115,8 @@ type scanRow struct {
 // applied — that satisfy where; a nil where keeps every row. It is the one
 // scan SELECT, UPDATE and DELETE share. A primary-key point predicate probes
 // the pk index (O(1)); anything else walks rowOrder and tests each visible
-// version where it is stored, so a row the predicate rejects costs neither a
-// buffer slot nor an allocation.
+// version where it is stored with the predicate kernel, so a row the
+// predicate rejects costs neither a buffer slot nor an allocation.
 func (s *Session) filterLocked(b *binder, tx *Txn, key tableKey, t *Table, where *bexpr, out []scanRow) ([]scanRow, error) {
 	if v, ok := pkPointValue(t, where); ok {
 		if v.IsNull() {
@@ -127,7 +127,11 @@ func (s *Session) filterLocked(b *binder, tx *Txn, key tableKey, t *Table, where
 	ov := tx.overlay[key]
 	for _, id := range t.rowOrder {
 		var row sqltypes.Row
-		if ent, ok := ov[id]; ok {
+		var ent *overlayEntry
+		if len(ov) != 0 { // most statements have no pending change to t
+			ent = ov[id]
+		}
+		if ent != nil {
 			if ent.deleted {
 				continue
 			}

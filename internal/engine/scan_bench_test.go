@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 )
 
@@ -51,6 +52,9 @@ func mustPrepare(tb testing.TB, s *Session, sql string) *Stmt {
 
 const (
 	scanSelectSQL = "SELECT id, name, stock FROM scan_t WHERE grp = ? AND stock >= ?"
+	scanUpdateSQL = "UPDATE scan_t SET stock = stock - 1 WHERE grp = ? AND stock >= ?"
+	scanDeleteSQL = "DELETE FROM scan_t WHERE grp = ? AND stock >= ?"
+	scanJoinSQL   = "SELECT t.id, g.label FROM scan_t t JOIN grp_t g ON t.grp = g.id WHERE g.id = ? AND t.stock >= ?"
 	scanPerGroup  = scanRows / scanGroups
 )
 
@@ -87,15 +91,15 @@ func BenchmarkScanFilter(b *testing.B) {
 		}
 	}
 	b.Run("update", func(b *testing.B) {
-		inTxn(b, "UPDATE scan_t SET stock = stock - 1 WHERE grp = ? AND stock >= ?")
+		inTxn(b, scanUpdateSQL)
 	})
 	b.Run("delete", func(b *testing.B) {
-		inTxn(b, "DELETE FROM scan_t WHERE grp = ? AND stock >= ?")
+		inTxn(b, scanDeleteSQL)
 	})
 	b.Run("join", func(b *testing.B) {
 		s := newScanEngine(b)
 		defer s.Close()
-		st := mustPrepare(b, s, "SELECT t.id, g.label FROM scan_t t JOIN grp_t g ON t.grp = g.id WHERE g.id = ? AND t.stock >= ?")
+		st := mustPrepare(b, s, scanJoinSQL)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -139,4 +143,63 @@ func TestScanAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocs/op, budget %.0f", tc.name, got, tc.budget)
 		}
 	}
+}
+
+// TestScanPredicateInPlace pins that every predicate BenchmarkScanFilter
+// runs — the WHERE of its select, update, delete and join, and the join's
+// ON — is tested by the predicate kernel alone, with no leaf that falls back
+// to eval. A fallback leaf evaluates through the recursive value evaluator,
+// which is what made a scan cost about 120 ns per row examined.
+func TestScanPredicateInPlace(t *testing.T) {
+	s := newScanEngine(t)
+	defer s.Close()
+	tables := s.eng.databases["shop"].tables
+	for _, sql := range []string{scanSelectSQL, scanUpdateSQL, scanDeleteSQL, scanJoinSQL} {
+		st, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := newBinder(s, nil, []sqltypes.Value{sqltypes.NewInt(7), sqltypes.NewInt(3)})
+		var preds []sqlparse.Expr
+		switch st := st.(type) {
+		case *sqlparse.Select:
+			b.addTable(tables[st.From.Name], st.FromAlias, st.From.Name)
+			if st.Join != nil {
+				b.addTable(tables[st.Join.Table.Name], st.Join.Alias, st.Join.Table.Name)
+				preds = append(preds, st.Join.On)
+			}
+			preds = append(preds, st.Where)
+		case *sqlparse.Update:
+			b.addTable(tables[st.Table.Name], "", st.Table.Name)
+			preds = append(preds, st.Where)
+		case *sqlparse.Delete:
+			b.addTable(tables[st.Table.Name], "", st.Table.Name)
+			preds = append(preds, st.Where)
+		}
+		for _, e := range preds {
+			p, err := b.bindLocked(e)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", sql, e.SQL(), err)
+			}
+			if n := evalLeaves(p); n != 0 {
+				t.Errorf("%s (in %s): %d leaves fall back to eval", e.SQL(), sql, n)
+			}
+		}
+	}
+}
+
+// evalLeaves counts the nodes of a bound predicate that binder.test
+// reaches and answers through eval.
+func evalLeaves(n *bexpr) int {
+	switch n.op {
+	case opAnd, opOr:
+		return evalLeaves(n.first) + evalLeaves(n.first.next)
+	case opNot:
+		return evalLeaves(n.first)
+	case opEq, opNe, opLt, opLe, opGt, opGe, opIsNull, opBetween, opIn:
+		if operands(n) {
+			return 0
+		}
+	}
+	return 1
 }

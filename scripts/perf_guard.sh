@@ -24,7 +24,7 @@ guard() {
   done
 }
 
-guard ./internal/engine/ TestParallelReadThroughputScales TestPointLookupFastPathThreshold TestPreparedFasterThanParsePerCall TestScanAllocBudget TestRowStorageObjectBudget
+guard ./internal/engine/ TestParallelReadThroughputScales TestPointLookupFastPathThreshold TestPreparedFasterThanParsePerCall TestScanAllocBudget TestScanPredicateInPlace TestRowStorageObjectBudget
 guard ./internal/core/ TestCachedReadsThreshold TestGroupCommitAmortization
 guard ./internal/wire/ TestWirePreparedExecThreshold TestWirePipelinedThroughputThreshold
 guard . TestHistoryRecordingOverheadBudget TestOverloadNoCollapse TestMigrationWriteStallBudget
