@@ -80,17 +80,22 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) Close() { _ = s.http.Close() }
 
 // healthz answers 200 while the cluster can serve at least one replica and
-// 503 otherwise — the contract load balancers and orchestrators expect.
+// 503 otherwise — the contract load balancers and orchestrators expect. Each
+// replication fault adds a line but leaves the status alone: a stopped WAN
+// link does not stop the cluster serving.
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 	h := s.opts.Cluster.Health()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if h.HealthyReplicas == 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "unhealthy: 0/%d replicas\n", h.Replicas)
-		return
+	} else {
+		fmt.Fprintf(w, "ok: %d/%d replicas, head=%d, max_lag=%d\n",
+			h.HealthyReplicas, h.Replicas, h.Head, h.MaxLag)
 	}
-	fmt.Fprintf(w, "ok: %d/%d replicas, head=%d, max_lag=%d\n",
-		h.HealthyReplicas, h.Replicas, h.Head, h.MaxLag)
+	for _, f := range h.Faults {
+		fmt.Fprintf(w, "fault: %s\n", f)
+	}
 }
 
 // metrics dumps `name value` lines, one metric per line — trivially
@@ -103,6 +108,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "repl_replicas_healthy %d\n", h.HealthyReplicas)
 	fmt.Fprintf(w, "repl_head %d\n", h.Head)
 	fmt.Fprintf(w, "repl_max_lag %d\n", h.MaxLag)
+	fmt.Fprintf(w, "repl_replication_faults %d\n", len(h.Faults))
 
 	if c := s.opts.Admission; c != nil {
 		st := c.Stats()

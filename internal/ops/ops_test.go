@@ -59,6 +59,45 @@ func TestHealthzFlips(t *testing.T) {
 	}
 }
 
+// faultyCluster is a serving cluster whose replication stopped on faults,
+// as a WAN reports a link an apply error stopped.
+type faultyCluster struct {
+	core.Cluster
+	faults []string
+}
+
+func (c faultyCluster) Health() core.Health {
+	return core.Health{Topology: "wan", Replicas: 2, HealthyReplicas: 2, Faults: c.faults}
+}
+
+func TestFaultsReported(t *testing.T) {
+	faults := []string{
+		"core: wan link eu->us stopped at binlog seq 4: duplicate key",
+		"core: wan link us->eu stopped at binlog seq 4: duplicate key",
+	}
+	srv, err := NewServer("127.0.0.1:0", Options{Cluster: faultyCluster{faults: faults}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// A stopped link does not stop serving: the probe stays 200 and names
+	// each fault on its own line.
+	code, body := get(t, "http://"+srv.Addr()+"/healthz")
+	if code != http.StatusOK || !strings.HasPrefix(body, "ok:") {
+		t.Fatalf("probe with faults: %d %q", code, body)
+	}
+	for _, f := range faults {
+		if !strings.Contains(body, "\nfault: "+f+"\n") {
+			t.Errorf("healthz does not report %q:\n%s", f, body)
+		}
+	}
+	_, body = get(t, "http://"+srv.Addr()+"/metrics")
+	if !strings.Contains(body, "repl_replication_faults 2\n") {
+		t.Fatalf("metrics missing repl_replication_faults 2:\n%s", body)
+	}
+}
+
 func TestMetricsReportAdmissionAndCache(t *testing.T) {
 	master := core.NewReplica(core.ReplicaConfig{Name: "master"})
 	qc := qcache.New(qcache.Config{MaxEntries: 16})
@@ -104,6 +143,7 @@ func TestMetricsReportAdmissionAndCache(t *testing.T) {
 	for _, want := range []string{
 		"repl_replicas 1",
 		"repl_replicas_healthy 1",
+		"repl_replication_faults 0",
 		"repl_admission_slots 4",
 		"repl_admission_active 0",
 		"repl_admission_admitted_total ",

@@ -47,8 +47,9 @@ func (k Kind) String() string {
 
 // Value is a single SQL value. The zero value is NULL.
 //
-// Fields are exported so that encoding/gob can move values across the wire
-// protocol; user code should treat Value as immutable and use the accessors.
+// Fields are exported so that encoding/gob can store values in the recovery
+// log and in backups (the wire protocol has its own codec); user code should
+// treat Value as immutable and use the accessors.
 type Value struct {
 	K Kind
 	I int64   // KindInt, KindTime (Unix nanoseconds)

@@ -1,9 +1,9 @@
 // Binary framing for the wire protocol (see docs/PROTOCOL.md).
 //
-// A binary-protocol connection opens with a 5-byte client hello — the 4-byte
-// magic followed by the highest protocol version the client speaks — and a
-// 1-byte server reply naming the accepted version. Everything after the
-// handshake is frames:
+// A connection opens with a 5-byte client hello — the 4-byte magic followed
+// by the highest protocol version the client speaks — and a 1-byte server
+// reply naming the accepted version. Everything after the handshake is
+// frames:
 //
 //	offset  size  field
 //	0       4     payload length, uint32 little-endian (0..MaxFrameSize)
@@ -12,16 +12,11 @@
 //	6       4     request id, uint32 little-endian
 //	10      n     payload (codec.go encoding of a request or Response)
 //
-// The magic's first byte is 0x80, which can never begin a gob stream: gob
-// length prefixes are either a single byte <= 0x7F or a negative byte count
-// in 0xF8..0xFF. That makes protocol sniffing on the server unambiguous —
-// the server peeks 4 bytes and serves gob to clients that predate the
-// binary protocol, so old clients keep connecting unchanged.
+// A peer that does not open with the magic is dropped unanswered.
 package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,13 +25,11 @@ import (
 	"time"
 )
 
-// protoMagic opens a binary-protocol connection. 0x80 is an invalid first
-// byte for a gob stream (see package comment), so sniffing cannot
-// misclassify a legacy client.
+// protoMagic opens every connection.
 var protoMagic = [4]byte{0x80, 'R', 'P', 'L'}
 
-// protoVersion1 is the current binary protocol version. Version 0 is
-// reserved to mean "gob" and never appears in a hello.
+// protoVersion1 is the current protocol version. Version 0 means "no
+// common version" and never appears in a hello.
 const protoVersion1 = 1
 
 // frameHeaderLen is the fixed frame header size.
@@ -65,9 +58,9 @@ var ErrFrameCorrupt = errors.New("wire: corrupt frame")
 // assert this never happens.
 var ErrProtocolDesync = errors.New("wire: protocol desync")
 
-// errHandshakeRejected means the server did not accept the binary hello —
-// it predates the binary protocol (its gob decoder choked on the magic and
-// hung up) or speaks no common version. ProtocolAuto clients redial in gob.
+// errHandshakeRejected means the peer did not complete the hello: the
+// server hung up on it or speaks no common version, or a client opened
+// without the magic.
 var errHandshakeRejected = errors.New("wire: binary handshake rejected")
 
 // frameWriter assembles frames into a reused buffer and writes each through
@@ -147,38 +140,31 @@ func (fr *frameReader) readFrame() (op, flags byte, id uint32, payload []byte, e
 	return
 }
 
-// sniffBinaryHello peeks br for the binary-protocol magic without consuming
-// anything on a miss, so the gob path can decode from the same reader.
-func sniffBinaryHello(br *bufio.Reader) bool {
-	peek, err := br.Peek(len(protoMagic))
-	return err == nil && bytes.Equal(peek, protoMagic[:])
-}
-
-// acceptBinaryHello consumes the client hello from br and answers on conn
-// with the accepted version. Call only after sniffBinaryHello returned true.
-func acceptBinaryHello(br *bufio.Reader, conn net.Conn) error {
-	if _, err := br.Discard(len(protoMagic)); err != nil {
+// acceptHello consumes the client hello from br and answers on conn with
+// the accepted version. A peer that does not open with the magic gets no
+// answer: the caller hangs up.
+func acceptHello(br *bufio.Reader, conn net.Conn) error {
+	var hello [len(protoMagic) + 1]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil {
 		return err
 	}
-	clientMax, err := br.ReadByte()
-	if err != nil {
-		return err
+	if [4]byte(hello[:4]) != protoMagic {
+		return fmt.Errorf("%w: no protocol magic", errHandshakeRejected)
 	}
-	if clientMax < protoVersion1 {
+	if clientMax := hello[4]; clientMax < protoVersion1 {
 		// No common version: say so with an explicit zero so the client
 		// fails fast instead of timing out, then hang up.
 		_, _ = conn.Write([]byte{0})
 		return fmt.Errorf("%w: client speaks only version %d", errHandshakeRejected, clientMax)
 	}
-	_, err = conn.Write([]byte{protoVersion1})
+	_, err := conn.Write([]byte{protoVersion1})
 	return err
 }
 
 // clientHello performs the client half of the handshake within deadline:
-// write magic+version, read the server's accepted version. Any failure —
-// including the connection reset an old gob server produces when its
-// decoder hits the magic — comes back wrapping errHandshakeRejected so
-// ProtocolAuto can fall back to gob.
+// write magic+version, read the server's accepted version. Any failure,
+// including a server that hangs up on the hello, comes back wrapping
+// errHandshakeRejected.
 func clientHello(conn net.Conn, deadline time.Time) error {
 	if err := conn.SetDeadline(deadline); err != nil {
 		return err

@@ -6,10 +6,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,10 +144,7 @@ func TestClientEnforcesMaxFrameSize(t *testing.T) {
 		}
 		defer conn.Close()
 		br := bufio.NewReader(conn)
-		if !sniffBinaryHello(br) {
-			return
-		}
-		if err := acceptBinaryHello(br, conn); err != nil {
+		if err := acceptHello(br, conn); err != nil {
 			return
 		}
 		fr := newFrameReader(br)
@@ -158,9 +157,9 @@ func TestClientEnforcesMaxFrameSize(t *testing.T) {
 		hdr[4] = opResult
 		binary.LittleEndian.PutUint32(hdr[6:10], id)
 		_, _ = conn.Write(hdr[:])
-		drainEOF(conn)
+		_, _ = io.Copy(io.Discard, conn)
 	}()
-	_, err = Dial(ln.Addr().String(), DriverConfig{User: "app", Protocol: ProtocolBinary})
+	_, err = Dial(ln.Addr().String(), DriverConfig{User: "app"})
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -171,7 +170,7 @@ func TestClientEnforcesMaxFrameSize(t *testing.T) {
 // error instead of being written and desynchronizing the server.
 func TestClientRejectsOversizedRequest(t *testing.T) {
 	srv, _ := newServer(t)
-	c, err := Dial(srv.Addr(), DriverConfig{User: "app", Database: "shop", Protocol: ProtocolBinary})
+	c, err := Dial(srv.Addr(), DriverConfig{User: "app", Database: "shop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +202,7 @@ func TestProtocolDesyncDetected(t *testing.T) {
 		}
 		defer conn.Close()
 		br := bufio.NewReader(conn)
-		if !sniffBinaryHello(br) {
-			return
-		}
-		if err := acceptBinaryHello(br, conn); err != nil {
+		if err := acceptHello(br, conn); err != nil {
 			return
 		}
 		fr := newFrameReader(br)
@@ -219,126 +215,101 @@ func TestProtocolDesyncDetected(t *testing.T) {
 		// Answer with a wrong id.
 		_ = fw.writeFrame(opResult, 0, id+1000, func(b []byte) []byte { return appendResponse(b, resp) })
 		_ = fw.flush()
-		drainEOF(conn)
+		_, _ = io.Copy(io.Discard, conn)
 	}()
-	_, err = Dial(ln.Addr().String(), DriverConfig{User: "app", Protocol: ProtocolBinary})
+	_, err = Dial(ln.Addr().String(), DriverConfig{User: "app"})
 	if !errors.Is(err, ErrProtocolDesync) {
 		t.Fatalf("err = %v, want ErrProtocolDesync", err)
 	}
 }
 
-// legacyGobServer reimplements the PR-5 server loop — gob decode straight
-// off the socket, no protocol sniffing — so compatibility tests can dial a
-// server that predates the binary protocol.
-func legacyGobServer(t *testing.T, backend Backend) (addr string, closeFn func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				out := newMessageConn(conn)
-				ss := newServerSession(backend)
-				defer ss.close()
-				for {
-					var req request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					if req.Kind == reqClose {
-						return
-					}
-					resp, ok := ss.handle(req.Kind, &req)
-					if !ok {
-						return
-					}
-					if err := out.send(resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), func() { ln.Close(); wg.Wait() }
+// recordingBackend counts sessions opened, so a test can show a refused
+// peer never got one.
+type recordingBackend struct {
+	Backend
+	opened atomic.Int32
 }
 
-// TestCrossVersionCompat is the gob↔binary handshake matrix:
-//   - a ProtocolGob client against the new sniffing server (old client,
-//     new server) must work unchanged;
-//   - a ProtocolAuto client against a legacy gob-only server (new client,
-//     old server) must fall back to gob transparently;
-//   - a ProtocolAuto client against the new server must negotiate binary.
-func TestCrossVersionCompat(t *testing.T) {
-	exercise := func(t *testing.T, c *Conn, wantProto string) {
-		t.Helper()
-		if got := c.Protocol(); got != wantProto {
-			t.Fatalf("negotiated protocol = %q, want %q", got, wantProto)
-		}
-		if _, err := c.Exec("INSERT INTO items (name) VALUES (?)", sqltypes.NewString("a")); err != nil {
-			t.Fatal(err)
-		}
-		st, err := c.Prepare("SELECT name FROM items WHERE id = ?")
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := st.Exec(sqltypes.NewInt(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Rows) != 1 || out.Rows[0][0].Str() != "a" {
-			t.Fatalf("rows: %v", out.Rows)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Ping(); err != nil {
-			t.Fatal(err)
-		}
-	}
+func (b *recordingBackend) OpenSession(user, database string) (SessionHandler, error) {
+	b.opened.Add(1)
+	return b.Backend.OpenSession(user, database)
+}
 
-	t.Run("gob-client/new-server", func(t *testing.T) {
-		srv, _ := newServer(t)
-		c, err := Dial(srv.Addr(), DriverConfig{User: "app", Database: "shop", Protocol: ProtocolGob})
+// TestPreBinaryPeerRefused: one wire protocol, no fallback. A client that
+// opens with a gob-encoded request (what clients spoke before the binary
+// protocol) is dropped before any session is opened; a server that hangs
+// up on the hello fails Dial at once with errHandshakeRejected, not after
+// ConnectTimeout.
+func TestPreBinaryPeerRefused(t *testing.T) {
+	t.Run("gob-client", func(t *testing.T) {
+		_, e := newServer(t)
+		backend := &recordingBackend{Backend: &EngineBackend{Engine: e}}
+		srv, err := NewServer("127.0.0.1:0", backend)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		exercise(t, c, ProtocolGob)
-	})
-
-	t.Run("auto-client/legacy-server", func(t *testing.T) {
-		_, e := newServer(t) // reuse schema setup; serve its engine via a legacy loop
-		addr, closeFn := legacyGobServer(t, &EngineBackend{Engine: e})
-		defer closeFn()
-		c, err := Dial(addr, DriverConfig{User: "app", Database: "shop"})
+		defer srv.Close()
+		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		exercise(t, c, ProtocolGob)
-	})
-
-	t.Run("auto-client/new-server", func(t *testing.T) {
-		srv, _ := newServer(t)
+		defer nc.Close()
+		type gobRequest struct {
+			Kind     int
+			User     string
+			Database string
+		}
+		if err := gob.NewEncoder(nc).Encode(gobRequest{Kind: reqAuth, User: "app", Database: "shop"}); err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		// A hangup shows as EOF, or as a reset when the server left the
+		// rest of the gob message unread; a timeout means it kept the
+		// connection open.
+		n, err := io.Copy(io.Discard, nc)
+		var ne net.Error
+		if n != 0 || errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("server answered a gob request (%d bytes, err %v); want a silent hangup", n, err)
+		}
+		if got := backend.opened.Load(); got != 0 {
+			t.Fatalf("%d sessions opened for a gob client, want 0", got)
+		}
+		// The listener still serves binary clients, through the same backend.
 		c, err := Dial(srv.Addr(), DriverConfig{User: "app", Database: "shop"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		exercise(t, c, ProtocolBinary)
+		c.Close()
+		if got := backend.opened.Load(); got != 1 {
+			t.Fatalf("%d sessions opened for one binary client, want 1", got)
+		}
+	})
+
+	t.Run("hangup-on-hello", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var hello [5]byte
+			_, _ = io.ReadFull(conn, hello[:])
+			conn.Close()
+		}()
+		const connectTimeout = 5 * time.Second
+		start := time.Now()
+		_, err = Dial(ln.Addr().String(), DriverConfig{User: "app", ConnectTimeout: connectTimeout})
+		elapsed := time.Since(start)
+		if !errors.Is(err, errHandshakeRejected) {
+			t.Fatalf("err = %v, want errHandshakeRejected", err)
+		}
+		if elapsed > connectTimeout/2 {
+			t.Fatalf("refusal took %v; a hangup must fail Dial at once, not at ConnectTimeout (%v)", elapsed, connectTimeout)
+		}
 	})
 }
 
@@ -348,7 +319,7 @@ func TestCrossVersionCompat(t *testing.T) {
 // check).
 func TestPipelinedConcurrentCallers(t *testing.T) {
 	srv, _ := newServer(t)
-	c, err := Dial(srv.Addr(), DriverConfig{User: "app", Database: "shop", Protocol: ProtocolBinary})
+	c, err := Dial(srv.Addr(), DriverConfig{User: "app", Database: "shop"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +367,7 @@ func TestPipelinedConcurrentCallers(t *testing.T) {
 // any of them, then checks each result against its own request.
 func TestExecAsyncPipelines(t *testing.T) {
 	srv, _ := newServer(t)
-	c, err := Dial(srv.Addr(), DriverConfig{User: "app", Database: "shop", Protocol: ProtocolBinary, PipelineWindow: 32})
+	c, err := Dial(srv.Addr(), DriverConfig{User: "app", Database: "shop", PipelineWindow: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

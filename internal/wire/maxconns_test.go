@@ -67,4 +67,38 @@ func TestMaxConnsRejectsTyped(t *testing.T) {
 	if !readmitted {
 		t.Fatal("slot never freed after disconnect")
 	}
+
+	// A heartbeat's side connection counts against the limit too. Once the
+	// server holds only c1, a dial with a heartbeat gets the last slot for
+	// its main connection and is refused for the heartbeat: Dial must fail
+	// with the typed overload error, not hand out a connection that the
+	// refused heartbeat kills a tick later.
+	for deadline := time.Now().Add(2 * time.Second); srv.openConns() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server still holds %d connections, want 1", srv.openConns())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	rejected := srv.RejectedConns() // the readmission loop may have added refusals
+	hc, err := Dial(srv.Addr(), DriverConfig{User: "app", HeartbeatInterval: 20 * time.Millisecond})
+	if err == nil {
+		hc.Close()
+		t.Fatal("dial whose heartbeat was refused at the limit succeeded")
+	}
+	if !errors.As(err, &se) || se.Code != CodeOverloaded || !Retryable(err) {
+		t.Fatalf("refused heartbeat: dial error = %v (want retryable ServerError CodeOverloaded)", err)
+	}
+	if got := srv.RejectedConns(); got != rejected+1 {
+		t.Fatalf("RejectedConns = %d, want %d", got, rejected+1)
+	}
+	if err := c1.Ping(); err != nil {
+		t.Fatalf("admitted conn broken after a refused heartbeat: %v", err)
+	}
+}
+
+// openConns reports how many connections the server is serving.
+func (s *Server) openConns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
 }

@@ -9,39 +9,14 @@ package wire
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/sqltypes"
 )
-
-// messageConn couples a gob encoder with a buffered writer so each message
-// leaves in one syscall: gob emits several small writes per Encode (type
-// info, lengths, payload), and unbuffered they each hit the kernel — pure
-// per-round-trip overhead on both ends of the protocol. The decoder needs
-// no counterpart (gob buffers its reads internally).
-type messageConn struct {
-	bw  *bufio.Writer
-	enc *gob.Encoder
-}
-
-func newMessageConn(w io.Writer) *messageConn {
-	bw := bufio.NewWriter(w)
-	return &messageConn{bw: bw, enc: gob.NewEncoder(bw)}
-}
-
-// send encodes one message and flushes it to the wire.
-func (m *messageConn) send(v any) error {
-	if err := m.enc.Encode(v); err != nil {
-		return err
-	}
-	return m.bw.Flush()
-}
 
 // request kinds.
 const (
@@ -291,44 +266,33 @@ func overloadedResp(limit int) *Response {
 	}
 }
 
-// rejectConn answers an over-limit connection's first request (the auth
-// handshake) with a typed retryable overload error, then hangs up. Reading
-// the request first matters: responding before the client writes would race
-// its send and could surface as a bare connection reset instead of the
-// typed error. The refusal speaks whichever protocol the client opened
-// with, so binary and gob clients alike see the typed code.
+// rejectConn answers an over-limit connection's first frame (the auth
+// request, or a heartbeat's first ping) with a typed retryable overload
+// error, then hangs up. Reading the frame first matters: responding before
+// the client writes would race its send and could surface as a bare
+// connection reset instead of the typed error.
 func rejectConn(conn net.Conn, limit int) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
 	br := bufio.NewReader(conn)
-	if sniffBinaryHello(br) {
-		if err := acceptBinaryHello(br, conn); err != nil {
-			return
-		}
-		fr := newFrameReader(br)
-		_, _, id, _, err := fr.readFrame() // the AUTH frame
-		if err != nil {
-			return
-		}
-		fw := newFrameWriter(conn)
-		resp := overloadedResp(limit)
-		if err := fw.writeFrame(opResult, 0, id, func(b []byte) []byte { return appendResponse(b, resp) }); err != nil {
-			return
-		}
-		_ = fw.flush()
+	if err := acceptHello(br, conn); err != nil {
 		return
 	}
-	var req request
-	if err := gob.NewDecoder(br).Decode(&req); err != nil {
+	_, _, id, _, err := newFrameReader(br).readFrame()
+	if err != nil {
 		return
 	}
-	_ = newMessageConn(conn).send(overloadedResp(limit))
+	fw := newFrameWriter(conn)
+	resp := overloadedResp(limit)
+	if err := fw.writeFrame(opResult, 0, id, func(b []byte) []byte { return appendResponse(b, resp) }); err != nil {
+		return
+	}
+	_ = fw.flush()
 }
 
 // serverSession holds one connection's server-side state — the backend
 // session and its prepared-statement handles — and executes requests
-// against it. Both transports drive the same handler, so gob and binary
-// semantics cannot diverge.
+// against it.
 type serverSession struct {
 	backend  Backend
 	session  SessionHandler
@@ -415,6 +379,18 @@ func (ss *serverSession) close() {
 	}
 }
 
+// serverWindow bounds requests a connection may have queued server-side.
+// Combined with the client's own window it caps per-connection memory; a
+// client that ignores its window just blocks in the TCP send buffer
+// (natural backpressure), it cannot balloon the server.
+const serverWindow = 128
+
+// serveConn runs the handshake, then a three-stage per-connection pipeline
+// of reader (this goroutine) → executor → writer. Execution stays serial
+// per connection — sessions are stateful — but decode, execute and encode
+// of consecutive pipelined requests overlap, and the writer coalesces
+// bursts of responses into one flush. A peer that does not open with the
+// hello is dropped before any session exists.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -424,55 +400,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
-	if sniffBinaryHello(br) {
-		if err := acceptBinaryHello(br, conn); err != nil {
-			return
-		}
-		s.serveBinary(conn, br)
+	if err := acceptHello(br, conn); err != nil {
 		return
 	}
-	s.serveGob(conn, br)
-}
-
-// serveGob is the legacy one-request-in-flight loop, kept verbatim in
-// behavior for clients that predate the binary protocol (and for the
-// heartbeat side-connection, which pings over gob regardless of the main
-// connection's protocol).
-func (s *Server) serveGob(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	out := newMessageConn(conn)
-	ss := newServerSession(s.backend)
-	defer ss.close()
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		if req.Kind == reqClose {
-			return
-		}
-		resp, ok := ss.handle(req.Kind, &req)
-		if !ok {
-			return
-		}
-		if err := out.send(resp); err != nil {
-			return
-		}
-	}
-}
-
-// serverWindow bounds requests a binary connection may have queued
-// server-side. Combined with the client's own window it caps per-connection
-// memory; a client that ignores its window just blocks in the TCP send
-// buffer (natural backpressure), it cannot balloon the server.
-const serverWindow = 128
-
-// serveBinary is the pipelined loop: a three-stage per-connection pipeline
-// of reader (this goroutine) → executor → writer. Execution stays serial
-// per connection — sessions are stateful — but decode, execute and encode
-// of consecutive pipelined requests overlap, and the writer coalesces
-// bursts of responses into one flush.
-func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 	type job struct {
 		op  byte
 		id  uint32
@@ -562,21 +492,12 @@ func errResponse(err error) *Response {
 // detected (by heartbeat or timeout).
 var ErrConnDead = errors.New("wire: connection is dead")
 
-// Protocol selection for DriverConfig.Protocol.
-const (
-	// ProtocolAuto negotiates the binary framed protocol and silently
-	// falls back to gob when the server predates it.
-	ProtocolAuto = ""
-	// ProtocolBinary requires the binary protocol; a server that rejects
-	// the handshake is a dial error, never a fallback.
-	ProtocolBinary = "binary"
-	// ProtocolGob forces the legacy gob encoding (the PR-5 protocol, one
-	// request in flight per connection).
-	ProtocolGob = "gob"
-)
+// ProtocolBinary names the one wire transport, the binary framed protocol
+// of docs/PROTOCOL.md. DriverConfig.Protocol accepts it or "".
+const ProtocolBinary = "binary"
 
-// DefaultPipelineWindow is the in-flight request cap per binary connection
-// when DriverConfig.PipelineWindow is zero.
+// DefaultPipelineWindow is the in-flight request cap per connection when
+// DriverConfig.PipelineWindow is zero.
 const DefaultPipelineWindow = 64
 
 // DriverConfig configures a client connection.
@@ -584,12 +505,12 @@ type DriverConfig struct {
 	User     string
 	Password string
 	Database string
-	// Protocol selects the wire encoding: ProtocolAuto (default),
-	// ProtocolBinary, or ProtocolGob.
+	// Protocol names the wire transport: "" or ProtocolBinary, the only
+	// one. Any other value fails Dial.
 	Protocol string
-	// PipelineWindow bounds in-flight pipelined requests per connection
-	// (binary protocol only); zero means DefaultPipelineWindow. Submitting
-	// past the window blocks until a response frees a slot.
+	// PipelineWindow bounds in-flight pipelined requests per connection;
+	// zero means DefaultPipelineWindow. Submitting past the window blocks
+	// until a response frees a slot.
 	PipelineWindow int
 	// ConnectTimeout bounds Dial; zero means 2 s.
 	ConnectTimeout time.Duration
@@ -611,26 +532,19 @@ type DriverConfig struct {
 	StatementTimeout time.Duration
 }
 
-// Conn is a client connection. On the gob transport calls are serialized
-// like a real driver connection (reqMu); on the binary transport many calls
-// may be in flight at once, matched to response frames by request id, with
-// the in-flight count bounded by the pipeline window. stateMu guards
-// liveness so the heartbeat can kill a connection while calls are blocked.
+// Conn is a client connection. Many calls may be in flight at once, matched
+// to response frames by request id, with the in-flight count bounded by the
+// pipeline window. stateMu guards liveness so the heartbeat can kill a
+// connection while calls are blocked.
 type Conn struct {
-	cfg    DriverConfig
-	addr   string
-	binary bool
+	cfg  DriverConfig
+	addr string
+	conn net.Conn
 
-	// gob transport (reqMu serializes round trips; guards dec/enc).
-	reqMu sync.Mutex
-	conn  net.Conn
-	dec   *gob.Decoder
-	enc   *messageConn
-
-	// binary transport. sendMu serializes frame writes; pendMu guards the
-	// pending map and read-deadline arming; window is the in-flight slot
-	// semaphore; readerDone closes when the read loop exits (after it has
-	// failed every pending call).
+	// sendMu serializes frame writes; pendMu guards the pending map and
+	// read-deadline arming; window is the in-flight slot semaphore;
+	// readerDone closes when the read loop exits (after it has failed
+	// every pending call).
 	sendMu     sync.Mutex
 	fw         *frameWriter
 	pendMu     sync.Mutex
@@ -647,16 +561,12 @@ type Conn struct {
 	hbOnce sync.Once
 }
 
-// Protocol reports the negotiated wire encoding: "binary" or "gob".
-func (c *Conn) Protocol() string {
-	if c.binary {
-		return ProtocolBinary
-	}
-	return ProtocolGob
-}
-
-// Dial connects, negotiates the protocol, and authenticates.
+// Dial connects, performs the handshake, and authenticates. A server that
+// refuses the hello is a dial error wrapping errHandshakeRejected.
 func Dial(addr string, cfg DriverConfig) (*Conn, error) {
+	if cfg.Protocol != "" && cfg.Protocol != ProtocolBinary {
+		return nil, fmt.Errorf("wire: unknown protocol %q (the one transport is %q)", cfg.Protocol, ProtocolBinary)
+	}
 	if cfg.ConnectTimeout == 0 {
 		cfg.ConnectTimeout = 2 * time.Second
 	}
@@ -666,54 +576,6 @@ func Dial(addr string, cfg DriverConfig) (*Conn, error) {
 	if cfg.PipelineWindow <= 0 {
 		cfg.PipelineWindow = DefaultPipelineWindow
 	}
-	switch cfg.Protocol {
-	case ProtocolGob:
-		return dialGob(addr, cfg)
-	case ProtocolBinary:
-		return dialBinary(addr, cfg)
-	default: // ProtocolAuto: binary first, gob when the server is too old
-		c, err := dialBinary(addr, cfg)
-		if errors.Is(err, errHandshakeRejected) {
-			return dialGob(addr, cfg)
-		}
-		return c, err
-	}
-}
-
-// finishDial authenticates and starts the heartbeat — the protocol-agnostic
-// tail of Dial.
-func (c *Conn) finishDial() (*Conn, error) {
-	resp, err := c.roundTrip(request{Kind: reqAuth, User: c.cfg.User, Password: c.cfg.Password, Database: c.cfg.Database})
-	if err != nil {
-		c.conn.Close()
-		return nil, err
-	}
-	if resp.Err != "" {
-		c.conn.Close()
-		// Keep the server's classification (e.g. CodeOverloaded from the
-		// max-conns guard) so drivers can tell "back off and retry" from
-		// "bad credentials".
-		return nil, resp.Error()
-	}
-	if c.cfg.HeartbeatInterval > 0 {
-		if err := c.startHeartbeat(); err != nil {
-			c.conn.Close()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-func dialGob(addr string, cfg DriverConfig) (*Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, cfg.ConnectTimeout)
-	if err != nil {
-		return nil, err
-	}
-	c := &Conn{cfg: cfg, addr: addr, conn: nc, dec: gob.NewDecoder(nc), enc: newMessageConn(nc)}
-	return c.finishDial()
-}
-
-func dialBinary(addr string, cfg DriverConfig) (*Conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, cfg.ConnectTimeout)
 	if err != nil {
 		return nil, err
@@ -725,7 +587,6 @@ func dialBinary(addr string, cfg DriverConfig) (*Conn, error) {
 	c := &Conn{
 		cfg:        cfg,
 		addr:       addr,
-		binary:     true,
 		conn:       nc,
 		fw:         newFrameWriter(nc),
 		pending:    make(map[uint32]chan *Response),
@@ -733,10 +594,24 @@ func dialBinary(addr string, cfg DriverConfig) (*Conn, error) {
 		readerDone: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c.finishDial()
+	resp, err := c.roundTrip(request{Kind: reqAuth, User: cfg.User, Password: cfg.Password, Database: cfg.Database})
+	if err == nil {
+		// Keep the server's classification (e.g. CodeOverloaded from the
+		// max-conns guard) so drivers can tell "back off and retry" from
+		// "bad credentials".
+		err = resp.Error()
+	}
+	if err == nil && cfg.HeartbeatInterval > 0 {
+		err = c.startHeartbeat()
+	}
+	if err != nil {
+		c.conn.Close()
+		return nil, err
+	}
+	return c, nil
 }
 
-// readLoop is the binary transport's single reader: it dispatches response
+// readLoop is the connection's single reader: it dispatches response
 // frames to pending calls by request id and manages the read deadline (armed
 // while anything is in flight, cleared when the connection goes idle). On
 // exit it fails every pending call, so no waiter can hang on a dead conn.
@@ -781,15 +656,16 @@ func (c *Conn) readLoop() {
 	c.pendMu.Unlock()
 }
 
-// pendingCall is one in-flight pipelined request; wait must be called
-// exactly once (it releases the window slot).
-type pendingCall struct {
+// Pending is an in-flight pipelined request. Wait must be called exactly
+// once; until then the request occupies one slot of the connection's
+// pipeline window.
+type Pending struct {
 	c  *Conn
 	ch chan *Response
 }
 
 // submit acquires a window slot, registers the call, and sends its frame.
-func (c *Conn) submit(kind int, req *request) (*pendingCall, error) {
+func (c *Conn) submit(req *request) (*Pending, error) {
 	select {
 	case c.window <- struct{}{}:
 	case <-c.readerDone:
@@ -813,7 +689,7 @@ func (c *Conn) submit(kind int, req *request) (*pendingCall, error) {
 	c.pendMu.Unlock()
 
 	c.sendMu.Lock()
-	err := c.fw.writeFrame(byte(kind), 0, id, func(b []byte) []byte { return appendRequest(b, req) })
+	err := c.fw.writeFrame(byte(req.Kind), 0, id, func(b []byte) []byte { return appendRequest(b, req) })
 	if err == nil {
 		err = c.fw.flush()
 	}
@@ -835,10 +711,11 @@ func (c *Conn) submit(kind int, req *request) (*pendingCall, error) {
 		c.markDead(err)
 		return nil, c.deadErr()
 	}
-	return &pendingCall{c: c, ch: ch}, nil
+	return &Pending{c: c, ch: ch}, nil
 }
 
-func (p *pendingCall) wait() (*Response, error) {
+// wait blocks for the raw response and releases the window slot.
+func (p *Pending) wait() (*Response, error) {
 	resp, ok := <-p.ch
 	<-p.c.window
 	if !ok {
@@ -847,8 +724,21 @@ func (p *pendingCall) wait() (*Response, error) {
 	return resp, nil
 }
 
-func (c *Conn) callBinary(kind int, req *request) (*Response, error) {
-	p, err := c.submit(kind, req)
+// Wait blocks for the response. Statement errors surface exactly like
+// Exec's: the Response carries them and the error is typed.
+func (p *Pending) Wait() (*Response, error) {
+	resp, err := p.wait()
+	if err != nil {
+		return nil, err
+	}
+	if resp.Err != "" {
+		return resp, resp.Error()
+	}
+	return resp, nil
+}
+
+func (c *Conn) roundTrip(req request) (*Response, error) {
+	p, err := c.submit(&req)
 	if err != nil {
 		return nil, err
 	}
@@ -918,87 +808,15 @@ func (c *Conn) Ping() error {
 	return err
 }
 
-func (c *Conn) roundTrip(req request) (*Response, error) {
-	if c.binary {
-		return c.callBinary(req.Kind, &req)
-	}
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	if err := c.deadErr(); err != nil {
-		return nil, err
-	}
-	if err := c.conn.SetDeadline(time.Now().Add(c.cfg.KeepAliveTimeout)); err != nil {
-		return nil, err
-	}
-	if err := c.enc.send(&req); err != nil {
-		c.markDead(err)
-		return nil, c.deadErr()
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		c.markDead(err)
-		return nil, c.deadErr()
-	}
-	return &resp, nil
-}
-
-// Pending is an in-flight pipelined request. Wait must be called exactly
-// once; until then the request occupies one slot of the connection's
-// pipeline window.
-type Pending struct {
-	p    *pendingCall
-	resp *Response // pre-resolved result on the non-pipelining gob path
-	err  error
-}
-
-// Wait blocks for the response. Statement errors surface exactly like
-// Exec's: the Response carries them and the error is typed.
-func (p *Pending) Wait() (*Response, error) {
-	if p.p != nil {
-		resp, err := p.p.wait()
-		p.p = nil
-		if err != nil {
-			return nil, err
-		}
-		if resp.Err != "" {
-			return resp, resp.Error()
-		}
-		return resp, nil
-	}
-	if p.err != nil {
-		return p.resp, p.err
-	}
-	return p.resp, nil
-}
-
 // ExecAsync submits a statement without waiting for its result, pipelining
-// it behind whatever is already in flight. On the gob transport (no
-// pipelining) it degrades to a synchronous call whose result Wait replays.
+// it behind whatever is already in flight.
 func (c *Conn) ExecAsync(sql string, args ...sqltypes.Value) (*Pending, error) {
-	return c.execAsync(request{Kind: reqExec, SQL: sql, Args: args})
+	return c.submit(&request{Kind: reqExec, SQL: sql, Args: args})
 }
 
 // ExecAsync pipelines an execution of the prepared statement.
 func (s *Stmt) ExecAsync(args ...sqltypes.Value) (*Pending, error) {
-	return s.c.execAsync(request{Kind: reqExecStmt, StmtID: s.id, Args: args})
-}
-
-func (c *Conn) execAsync(req request) (*Pending, error) {
-	if c.binary {
-		p, err := c.submit(req.Kind, &req)
-		if err != nil {
-			return nil, err
-		}
-		return &Pending{p: p}, nil
-	}
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return &Pending{resp: resp, err: resp.Error()}, nil
-	}
-	return &Pending{resp: resp}, nil
+	return s.c.submit(&request{Kind: reqExecStmt, StmtID: s.id, Args: args})
 }
 
 func (c *Conn) deadErr() error {
@@ -1008,7 +826,7 @@ func (c *Conn) deadErr() error {
 }
 
 // markDead records the first failure cause and closes the socket, which
-// unblocks any in-flight Decode immediately.
+// unblocks the read loop and every waiting call immediately.
 func (c *Conn) markDead(cause error) {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
@@ -1030,16 +848,12 @@ func (c *Conn) Close() {
 	c.stateMu.Lock()
 	if c.dead == nil {
 		_ = c.conn.SetDeadline(time.Now().Add(100 * time.Millisecond))
-		if c.binary {
-			c.stateMu.Unlock()
-			c.sendMu.Lock()
-			_ = c.fw.writeFrame(byte(reqClose), 0, 0, func(b []byte) []byte { return b })
-			_ = c.fw.flush()
-			c.sendMu.Unlock()
-			c.stateMu.Lock()
-		} else {
-			_ = c.enc.send(&request{Kind: reqClose})
-		}
+		c.stateMu.Unlock()
+		c.sendMu.Lock()
+		_ = c.fw.writeFrame(byte(reqClose), 0, 0, func(b []byte) []byte { return b })
+		_ = c.fw.flush()
+		c.sendMu.Unlock()
+		c.stateMu.Lock()
 		if c.dead == nil {
 			c.dead = ErrConnDead
 		}
@@ -1051,10 +865,25 @@ func (c *Conn) Close() {
 	}
 }
 
-// startHeartbeat opens a dedicated heartbeat connection and monitors it.
+// startHeartbeat opens the heartbeat connection and monitors it. It has its
+// own socket because the server runs one connection's requests serially: a
+// ping queued behind a long statement would declare a healthy server dead.
+// The hello and the first ping run here, inside Dial, so a server that
+// refuses the heartbeat connection (its max-conns guard) fails Dial with its
+// typed error instead of killing the admitted connection a tick later.
 func (c *Conn) startHeartbeat() error {
 	hb, err := net.DialTimeout("tcp", c.addr, c.cfg.ConnectTimeout)
 	if err != nil {
+		return err
+	}
+	deadline := time.Now().Add(c.cfg.ConnectTimeout)
+	fw, fr := newFrameWriter(hb), newFrameReader(hb)
+	err = clientHello(hb, deadline)
+	if err == nil {
+		err = heartbeatPing(hb, fw, fr, deadline)
+	}
+	if err != nil {
+		hb.Close()
 		return err
 	}
 	c.hbConn = hb
@@ -1063,8 +892,6 @@ func (c *Conn) startHeartbeat() error {
 	if timeout == 0 {
 		timeout = 3 * c.cfg.HeartbeatInterval
 	}
-	enc := newMessageConn(hb)
-	dec := gob.NewDecoder(hb)
 	go func() {
 		ticker := time.NewTicker(c.cfg.HeartbeatInterval)
 		defer ticker.Stop()
@@ -1074,14 +901,10 @@ func (c *Conn) startHeartbeat() error {
 				return
 			case <-ticker.C:
 			}
-			_ = hb.SetDeadline(time.Now().Add(timeout))
-			err1 := enc.send(&request{Kind: reqPing})
-			var resp Response
-			err2 := dec.Decode(&resp)
-			if err1 != nil || err2 != nil {
+			if err := heartbeatPing(hb, fw, fr, time.Now().Add(timeout)); err != nil {
 				// Heartbeat failed: kill the main connection so blocked
 				// calls return promptly (§4.3.4.2).
-				c.markDead(fmt.Errorf("heartbeat failed: %v", firstErr(err1, err2)))
+				c.markDead(fmt.Errorf("heartbeat failed: %w", err))
 				return
 			}
 		}
@@ -1089,23 +912,26 @@ func (c *Conn) startHeartbeat() error {
 	return nil
 }
 
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
+// heartbeatPing sends one ping frame on the heartbeat connection and reads
+// its answer by deadline. A refusal comes back as the server's typed error.
+func heartbeatPing(hb net.Conn, fw *frameWriter, fr *frameReader, deadline time.Time) error {
+	if err := hb.SetDeadline(deadline); err != nil {
+		return err
 	}
-	return nil
-}
-
-// drainEOF is a helper for tests that need to observe closed connections.
-func drainEOF(r io.Reader) {
-	buf := make([]byte, 256)
-	for {
-		if _, err := r.Read(buf); err != nil {
-			return
-		}
+	err := fw.writeFrame(byte(reqPing), 0, 0, func(b []byte) []byte { return b })
+	if err == nil {
+		err = fw.flush()
 	}
+	if err != nil {
+		return err
+	}
+	_, _, _, payload, err := fr.readFrame()
+	if err != nil {
+		return err
+	}
+	var resp Response
+	if err := decodeResponse(payload, &resp); err != nil {
+		return err
+	}
+	return resp.Error()
 }
-
-var _ = drainEOF

@@ -40,15 +40,10 @@
 //	record_table, record_key, record_val
 //	                 the key-value schema the recorded workload uses
 //	                 (defaults kv/k/v); only valid with record=
-//	protocol         auto | binary | gob — wire transport selection.
-//	                 auto (default) negotiates the binary framed protocol
-//	                 and falls back to gob against pre-PR-9 servers;
-//	                 binary refuses to fall back; gob forces the legacy
-//	                 transport (docs/PROTOCOL.md)
-//	pipeline         per-connection in-flight request window for the
-//	                 binary protocol (default 64). database/sql drives a
-//	                 connection serially, so this mostly matters for
-//	                 explicit wire.Conn users sharing the DSN grammar
+//	protocol         binary, the one wire transport (docs/PROTOCOL.md);
+//	                 accepted for explicitness, any other value is an error
+//
+// An option name not listed here is an error.
 //
 // Example:
 //
@@ -75,7 +70,6 @@ import (
 	"io"
 	"math/rand"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -210,24 +204,10 @@ func parseDSN(dsn string) (cfg wire.DriverConfig, addr, database, consistency st
 			return
 		}
 	}
-	switch p := strings.ToLower(q.Get("protocol")); p {
-	case "", "auto":
-		cfg.Protocol = wire.ProtocolAuto
-	case "binary":
-		cfg.Protocol = wire.ProtocolBinary
-	case "gob":
-		cfg.Protocol = wire.ProtocolGob
-	default:
-		err = fmt.Errorf("sqldriver: bad DSN protocol %q (want auto, binary or gob)", p)
+	cfg.Protocol = strings.ToLower(q.Get("protocol"))
+	if cfg.Protocol != "" && cfg.Protocol != wire.ProtocolBinary {
+		err = fmt.Errorf("sqldriver: bad DSN protocol %q (the one transport is binary)", cfg.Protocol)
 		return
-	}
-	if v := q.Get("pipeline"); v != "" {
-		n, perr := strconv.Atoi(v)
-		if perr != nil || n < 1 {
-			err = fmt.Errorf("sqldriver: bad DSN pipeline %q (want a positive window size)", v)
-			return
-		}
-		cfg.PipelineWindow = n
 	}
 	bo = backoffOpts{base: 4 * time.Millisecond, max: 250 * time.Millisecond}
 	durations := map[string]*time.Duration{
@@ -238,6 +218,16 @@ func parseDSN(dsn string) (cfg wire.DriverConfig, addr, database, consistency st
 		"deadline":          &cfg.StatementTimeout, // alias
 		"retry_backoff":     &bo.base,
 		"retry_backoff_max": &bo.max,
+	}
+	for name := range q {
+		switch name {
+		case "consistency", "protocol", "record", "record_table", "record_key", "record_val":
+		default:
+			if durations[name] == nil {
+				err = fmt.Errorf("sqldriver: bad DSN: unknown option %q", name)
+				return
+			}
+		}
 	}
 	for name, dst := range durations {
 		if v := q.Get(name); v != "" {

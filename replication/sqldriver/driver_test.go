@@ -54,27 +54,20 @@ func TestParseDSNOverloadOptions(t *testing.T) {
 }
 
 func TestParseDSNProtocolOptions(t *testing.T) {
-	// Default: auto-negotiate, window defaulted by wire.Dial.
+	// Default: the one transport, window defaulted by wire.Dial.
 	cfg, _, _, _, _, _, err := parseDSN("repl://h:1/db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Protocol != wire.ProtocolAuto || cfg.PipelineWindow != 0 {
+	if cfg.Protocol != "" || cfg.PipelineWindow != 0 {
 		t.Fatalf("defaults: protocol=%q pipeline=%d", cfg.Protocol, cfg.PipelineWindow)
 	}
-	cfg, _, _, _, _, _, err = parseDSN("repl://h:1/db?protocol=gob")
+	cfg, _, _, _, _, _, err = parseDSN("repl://h:1/db?protocol=binary")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Protocol != wire.ProtocolGob {
-		t.Fatalf("protocol=gob parsed as %q", cfg.Protocol)
-	}
-	cfg, _, _, _, _, _, err = parseDSN("repl://h:1/db?protocol=binary&pipeline=128")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Protocol != wire.ProtocolBinary || cfg.PipelineWindow != 128 {
-		t.Fatalf("protocol=%q pipeline=%d", cfg.Protocol, cfg.PipelineWindow)
+	if cfg.Protocol != wire.ProtocolBinary {
+		t.Fatalf("protocol=binary parsed as %q", cfg.Protocol)
 	}
 }
 
@@ -104,12 +97,17 @@ func TestParseDSNErrors(t *testing.T) {
 		"repl://h:1/db?heartbeat=nonsap", // bad duration
 		"repl://h:1/db?record_table=kv",  // record_* without record=
 		"repl://h:1/db?protocol=grpc",    // unknown transport
-		"repl://h:1/db?pipeline=0",       // window must be positive
-		"repl://h:1/db?pipeline=many",    // window must be a number
+		"repl://h:1/db?protocol=gob",     // removed transport
+		"repl://h:1/db?protocol=auto",    // removed negotiation
+		"repl://h:1/db?pipeline=8",       // removed option
 	} {
 		if _, _, _, _, _, _, err := parseDSN(dsn); err == nil {
 			t.Errorf("parseDSN(%q) accepted", dsn)
 		}
+	}
+	// An unknown option is named, so a misspelling is found at once.
+	if _, _, _, _, _, _, err := parseDSN("repl://h:1/db?consistancy=strong"); err == nil || !strings.Contains(err.Error(), `"consistancy"`) {
+		t.Errorf("misspelt option: err = %v, want it named", err)
 	}
 }
 
