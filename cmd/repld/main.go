@@ -46,7 +46,6 @@ func main() {
 	replicas := flag.Int("replicas", 3, "replicas for -topology mm")
 	partitions := flag.Int("partitions", 2, "partition count for -topology partitioned")
 	partitionRules := flag.String("partition-rules", "", "comma list of table:column hash-partitioned tables (-topology partitioned)")
-	mmMode := flag.String("mm-mode", "statement", "multi-master replication mode: statement | certification")
 	consistency := flag.String("consistency", "session", "read consistency: any | session | strong")
 	twoSafe := flag.Bool("two-safe", false, "wait for slave receipt before acking commits (ms)")
 	monitorEvery := flag.Duration("monitor", 10*time.Millisecond, "health monitor poll interval (durable master-slave only)")
@@ -202,20 +201,11 @@ func main() {
 			reps[i] = replication.NewReplica(tpl)
 			createAuthUser(reps[i])
 		}
-		mmCfg := replication.MultiMasterConfig{
-			Consistency: cons, QueryCache: qc,
-			Admission: adm, StatementTimeout: *stmtTimeout,
-		}
-		switch *mmMode {
-		case "statement":
-			mmCfg.Mode = replication.StatementMode
-		case "certification":
-			mmCfg.Mode = replication.CertificationMode
-		default:
-			log.Fatalf("repld: unknown -mm-mode %q", *mmMode)
-		}
 		mm, err := replication.NewMultiMaster(reps,
-			[]replication.Orderer{replication.NewLocalOrderer()}, mmCfg)
+			[]replication.Orderer{replication.NewLocalOrderer()}, replication.MultiMasterConfig{
+				Consistency: cons, QueryCache: qc,
+				Admission: adm, StatementTimeout: *stmtTimeout,
+			})
 		if err != nil {
 			log.Fatalf("repld: %v", err)
 		}

@@ -213,7 +213,6 @@ func buildCertCluster(t *testing.T, topo string, cons replication.Consistency) (
 		return ms, nil
 	case "multi-master":
 		mm := testutil.BuildMultiMaster(t, 3, replication.MultiMasterConfig{
-			Mode:        replication.CertificationMode,
 			Consistency: cons,
 		})
 		testutil.CreateDB(t, mm, "app")
@@ -501,7 +500,6 @@ func TestConsistencyCertMultiMasterPartitionHeal(t *testing.T) {
 		HeartbeatInterval: 5 * time.Millisecond,
 		SuspectTimeout:    40 * time.Millisecond,
 	}, 2003, replication.MultiMasterConfig{
-		Mode:          replication.CertificationMode,
 		Consistency:   replication.SessionConsistent,
 		QuorumOf:      n,
 		CommitTimeout: 500 * time.Millisecond,

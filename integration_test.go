@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gcs"
 	"repro/internal/testutil"
@@ -77,18 +78,17 @@ func TestEndToEndWireClientOverReplicatedCluster(t *testing.T) {
 	}
 }
 
-// TestEndToEndMultiMasterOverGCS runs statement-mode multi-master where the
-// total order comes from the real group communication protocol on the
-// simulated network.
+// TestEndToEndMultiMasterOverGCS runs multi-master where the total order
+// comes from the real group communication protocol on the simulated network.
+// Concurrent increments of one row conflict under first-committer-wins; the
+// losers retry, and every replica must hold exactly the committed count.
 func TestEndToEndMultiMasterOverGCS(t *testing.T) {
 	const n = 3
 	_, _, mm := testutil.BuildGCSMultiMaster(t, n, gcs.Config{
 		Ordering:          gcs.Sequencer,
 		HeartbeatInterval: 5 * time.Millisecond,
 		SuspectTimeout:    50 * time.Millisecond,
-	}, 1, replication.MultiMasterConfig{
-		Mode: replication.StatementMode,
-	})
+	}, 1, replication.MultiMasterConfig{})
 
 	testutil.ExecAll(t, mm,
 		"CREATE DATABASE shop",
@@ -96,6 +96,10 @@ func TestEndToEndMultiMasterOverGCS(t *testing.T) {
 		"CREATE TABLE counters (id INTEGER PRIMARY KEY, n INTEGER DEFAULT 0)",
 		"INSERT INTO counters (id) VALUES (1)",
 	)
+	// Every home must hold the row first: at a home that has not applied
+	// the INSERT yet, the UPDATE matches nothing and commits an empty write
+	// set.
+	testutil.WaitConverged(t, mm.Replicas(), "shop")
 
 	// Concurrent increments from sessions on all replicas.
 	const perSession = 5
@@ -112,8 +116,15 @@ func TestEndToEndMultiMasterOverGCS(t *testing.T) {
 				errs <- err
 				return
 			}
-			for j := 0; j < perSession; j++ {
-				if _, err := s.Exec("UPDATE counters SET n = n + 1 WHERE id = 1"); err != nil {
+			for j := 0; j < perSession; {
+				res, err := s.Exec("UPDATE counters SET n = n + 1 WHERE id = 1")
+				switch {
+				case err == nil && res.RowsAffected == 1:
+					j++
+				case err == nil:
+					errs <- fmt.Errorf("committed increment wrote %d rows", res.RowsAffected)
+					return
+				case !errors.Is(err, core.ErrCertificationAbort):
 					errs <- err
 					return
 				}

@@ -13,8 +13,7 @@ import (
 // Deployed replicated (one instance per replica, fed identical ordered
 // input, reaching identical decisions) it has no single point of failure.
 // Deployed centralized (one shared instance) it is the SPOF whose outage
-// and state-rebuild cost §3.2 complains about; Fail/Repair/RebuildFromLog
-// model exactly that.
+// §3.2 complains about; Fail/Repair model it.
 type Certifier struct {
 	mu sync.Mutex
 	// lastWriter maps a row key to the ordered position that last wrote
@@ -91,34 +90,11 @@ func (c *Certifier) Fail() {
 	c.decided = make(map[uint64]bool)
 }
 
-// Repair brings the certifier back up (empty-brained; call RebuildFromLog
-// first for correct conflict detection of in-flight snapshots).
+// Repair brings the certifier back up with empty soft state: a transaction
+// whose snapshot predates the outage is certified only against the writes
+// ordered after the repair.
 func (c *Certifier) Repair() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.failed = false
-}
-
-// RebuildFromLog reconstructs the soft state by replaying certified write
-// sets (e.g. from the recovery log or a replica's binlog): "the recovery
-// procedure requires retrieving state from every replica to rebuild the
-// load balancer's soft state" (§3.2). All recovered keys are stamped with
-// asOf — the recovery point in ordered-stream positions — which forces any
-// transaction whose snapshot predates the outage to abort (the safe
-// post-recovery policy). It returns the number of entries scanned so
-// callers can account the rebuild cost.
-func (c *Certifier) RebuildFromLog(events []engine.Event, asOf uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, ev := range events {
-		if ev.WriteSet == nil {
-			continue
-		}
-		for _, key := range ev.WriteSet.Keys() {
-			c.lastWriter[key] = asOf
-		}
-		n++
-	}
-	return n
 }

@@ -425,7 +425,7 @@ func newMMCluster(t *testing.T, n int, cfg MultiMasterConfig) (*MultiMaster, []*
 }
 
 func TestMMStatementConvergence(t *testing.T) {
-	mm, sessions := newMMCluster(t, 3, MultiMasterConfig{Mode: StatementMode})
+	mm, sessions := newMMCluster(t, 3, MultiMasterConfig{})
 	done := make(chan error, len(sessions))
 	for i, s := range sessions {
 		go func(i int, s *MMSession) {
@@ -454,40 +454,8 @@ func TestMMStatementConvergence(t *testing.T) {
 	}
 }
 
-func TestMMStatementRejectsUnsafe(t *testing.T) {
-	_, sessions := newMMCluster(t, 2, MultiMasterConfig{Mode: StatementMode, NonDeterminism: RewriteAndReject})
-	mustExecC(t, sessions[0].Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
-	_, err := sessions[0].Exec("UPDATE items SET price = RAND()")
-	if !errors.Is(err, ErrNonDeterministic) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMMStatementRewritesNow(t *testing.T) {
-	mm, sessions := newMMCluster(t, 2, MultiMasterConfig{Mode: StatementMode, NonDeterminism: RewriteAndReject})
-	mustExecC(t, sessions[0].Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
-	mustExecC(t, sessions[0].Exec, "UPDATE items SET price = 1 WHERE id = 1 AND NOW() > 0")
-	checkConverged(t, mm.Replicas(), "shop")
-}
-
-func TestMMStatementRandDiverges(t *testing.T) {
-	// C6: allowing rand() under statement replication diverges the
-	// cluster, and the divergence detector catches it.
-	mm, sessions := newMMCluster(t, 2, MultiMasterConfig{Mode: StatementMode, NonDeterminism: RewriteAndAllow})
-	mustExecC(t, sessions[0].Exec, "INSERT INTO items (id, name) VALUES (1, 'a'), (2, 'b')")
-	mustExecC(t, sessions[0].Exec, "UPDATE items SET price = RAND()")
-	time.Sleep(50 * time.Millisecond)
-	rep, err := CheckDivergence(mm.Replicas(), "shop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() {
-		t.Fatal("expected divergence from rand() (§4.3.2)")
-	}
-}
-
 func TestMMTransactionReadsOwnWrites(t *testing.T) {
-	_, sessions := newMMCluster(t, 2, MultiMasterConfig{Mode: StatementMode})
+	_, sessions := newMMCluster(t, 2, MultiMasterConfig{})
 	s := sessions[0]
 	mustExecC(t, s.Exec, "BEGIN")
 	mustExecC(t, s.Exec, "INSERT INTO items (id, name) VALUES (1, 'mine')")
@@ -499,7 +467,7 @@ func TestMMTransactionReadsOwnWrites(t *testing.T) {
 }
 
 func TestMMCertificationCommitsAndConverges(t *testing.T) {
-	mm, sessions := newMMCluster(t, 3, MultiMasterConfig{Mode: CertificationMode})
+	mm, sessions := newMMCluster(t, 3, MultiMasterConfig{})
 	s := sessions[0]
 	mustExecC(t, s.Exec, "BEGIN")
 	mustExecC(t, s.Exec, "INSERT INTO items (id, name, stock) VALUES (1, 'a', 5)")
@@ -512,7 +480,7 @@ func TestMMCertificationCommitsAndConverges(t *testing.T) {
 }
 
 func TestMMCertificationFirstCommitterWins(t *testing.T) {
-	mm, sessions := newMMCluster(t, 2, MultiMasterConfig{Mode: CertificationMode})
+	mm, sessions := newMMCluster(t, 2, MultiMasterConfig{})
 	mustExecC(t, sessions[0].Exec, "INSERT INTO items (id, name, stock) VALUES (1, 'a', 0)")
 	time.Sleep(20 * time.Millisecond) // let the insert apply everywhere
 
@@ -539,7 +507,7 @@ func TestMMCertificationFirstCommitterWins(t *testing.T) {
 }
 
 func TestMMCertificationNonConflictingBothCommit(t *testing.T) {
-	mm, sessions := newMMCluster(t, 2, MultiMasterConfig{Mode: CertificationMode})
+	mm, sessions := newMMCluster(t, 2, MultiMasterConfig{})
 	mustExecC(t, sessions[0].Exec, "INSERT INTO items (id, name) VALUES (1, 'a'), (2, 'b')")
 	time.Sleep(20 * time.Millisecond)
 	s1, s2 := sessions[0], sessions[1]
@@ -558,9 +526,7 @@ func TestMMCertificationNonConflictingBothCommit(t *testing.T) {
 
 func TestMMCentralizedCertifierSPOF(t *testing.T) {
 	cert := NewCertifier()
-	_, sessions := newMMCluster(t, 2, MultiMasterConfig{
-		Mode: CertificationMode, Certifier: cert, CommitTimeout: 200 * time.Millisecond,
-	})
+	_, sessions := newMMCluster(t, 2, MultiMasterConfig{Certifier: cert, CommitTimeout: 200 * time.Millisecond})
 	mustExecC(t, sessions[0].Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
 	cert.Fail()
 	_, err := sessions[0].Exec("UPDATE items SET stock = 1 WHERE id = 1")
@@ -572,16 +538,29 @@ func TestMMCentralizedCertifierSPOF(t *testing.T) {
 }
 
 func TestMMStatementTotalOrderAcrossReplicas(t *testing.T) {
-	// Increment-heavy workload: if total order held, final value equals
-	// the number of increments on every replica.
-	mm, sessions := newMMCluster(t, 3, MultiMasterConfig{Mode: StatementMode})
+	// Increment-heavy workload from every replica at once: concurrent
+	// increments of one row conflict, so first-committer-wins aborts all but
+	// one and the loser retries. If total order and certification held, the
+	// final value equals the number of committed increments on every replica.
+	mm, sessions := newMMCluster(t, 3, MultiMasterConfig{})
 	mustExecC(t, sessions[0].Exec, "INSERT INTO items (id, name, stock) VALUES (1, 'ctr', 0)")
+	// Every home must hold the row first: at a home that has not applied
+	// the INSERT yet, the UPDATE matches nothing and commits an empty write
+	// set.
+	waitMMCaughtUp(t, mm)
 	const perSession = 10
 	done := make(chan error, len(sessions))
 	for _, s := range sessions {
 		go func(s *MMSession) {
-			for j := 0; j < perSession; j++ {
-				if _, err := s.Exec("UPDATE items SET stock = stock + 1 WHERE id = 1"); err != nil {
+			for j := 0; j < perSession; {
+				res, err := s.Exec("UPDATE items SET stock = stock + 1 WHERE id = 1")
+				switch {
+				case err == nil && res.RowsAffected == 1:
+					j++
+				case err == nil:
+					done <- fmt.Errorf("committed increment wrote %d rows", res.RowsAffected)
+					return
+				case !errors.Is(err, ErrCertificationAbort):
 					done <- err
 					return
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -19,22 +20,17 @@ import (
 func TestMasterSlaveDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			reps := make([]*Replica, 4)
-			for i := range reps {
-				skew := time.Duration(i) * time.Hour
-				reps[i] = NewReplica(ReplicaConfig{
-					Name: fmt.Sprintf("r%d", i+1),
-					Engine: engine.Config{
-						RandSeed: seed*100 + int64(i),
-						Now:      func() time.Time { return time.Now().Add(skew) },
-					},
-				})
-			}
+			reps := diffReplicas(4, seed)
 			ms := NewMasterSlave(reps[0], reps[1:], MasterSlaveConfig{})
 			t.Cleanup(ms.Close)
-			w := newDiffWorkload(t, ms, seed)
+			w := newDiffWorkload(t, ms, seed, true)
+			check := func(reps []*Replica) {
+				waitCaughtUp(t, ms)
+				w.converged(reps)
+				w.binlogsAligned(reps)
+			}
 			w.run(300)
-			w.converged(reps)
+			check(reps)
 
 			old := ms.Master()
 			old.Fail()
@@ -47,26 +43,77 @@ func TestMasterSlaveDifferential(t *testing.T) {
 			}
 			w.tempTables()
 			w.run(300)
-			w.converged(append([]*Replica{promoted}, ms.Slaves()...))
+			check(append([]*Replica{promoted}, ms.Slaves()...))
 		})
 	}
 }
 
-// diffWorkload drives one seeded statement stream through three sessions
-// of a master-slave cluster.
-type diffWorkload struct {
-	t     *testing.T
-	ms    *MasterSlave
-	rng   *rand.Rand
-	sess  []*MSSession
-	accts int // AUTO_INCREMENT ids handed out so far, an upper bound
-	next  int // next fresh ledger id
+// TestMultiMasterDifferential is the certification gate: the same seeded
+// workload (less temp tables, which are master-slave only), issued through
+// sessions homed on three replicas whose generators and clocks disagree,
+// must leave every replica byte-identical once the ordered stream drains.
+// Commits that lose certification are counted, not retried: the workload
+// only ever depends on row images, never on which transactions won.
+func TestMultiMasterDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			reps := diffReplicas(3, seed)
+			ord := NewLocalOrderer()
+			t.Cleanup(ord.Close)
+			mm, err := NewMultiMaster(reps, []Orderer{ord}, MultiMasterConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(mm.Close)
+			w := newDiffWorkload(t, mm, seed, false)
+			waitMMCaughtUp(t, mm) // every home holds the schema
+			w.run(300)
+			waitMMCaughtUp(t, mm)
+			w.converged(reps)
+			if mm.Commits() == 0 {
+				t.Fatal("no transaction committed")
+			}
+			t.Logf("%d commits, %d certification aborts (%d seen by the workload)", mm.Commits(), mm.Aborts(), w.aborts)
+		})
+	}
 }
 
-func newDiffWorkload(t *testing.T, ms *MasterSlave, seed int64) *diffWorkload {
-	w := &diffWorkload{t: t, ms: ms, rng: rand.New(rand.NewSource(seed)), next: 1}
+// diffReplicas builds n replicas whose random generators and clocks
+// disagree: re-executing a statement on them cannot reproduce its result.
+func diffReplicas(n int, seed int64) []*Replica {
+	reps := make([]*Replica, n)
+	for i := range reps {
+		skew := time.Duration(i) * time.Hour
+		reps[i] = NewReplica(ReplicaConfig{
+			Name: fmt.Sprintf("r%d", i+1),
+			Engine: engine.Config{
+				RandSeed: seed*100 + int64(i),
+				Now:      func() time.Time { return time.Now().Add(skew) },
+			},
+		})
+	}
+	return reps
+}
+
+// diffWorkload drives one seeded statement stream through three
+// connections of a cluster.
+type diffWorkload struct {
+	t      *testing.T
+	rng    *rand.Rand
+	sess   []Conn
+	temp   bool // the topology keeps per-session temp tables
+	accts  int  // AUTO_INCREMENT ids handed out so far, an upper bound
+	next   int  // next fresh ledger id
+	aborts int  // commits lost to certification
+}
+
+func newDiffWorkload(t *testing.T, c Cluster, seed int64, temp bool) *diffWorkload {
+	w := &diffWorkload{t: t, rng: rand.New(rand.NewSource(seed)), temp: temp, next: 1}
 	for i := 0; i < 3; i++ {
-		s := ms.NewSession(fmt.Sprintf("u%d", i))
+		s, err := c.NewConn(fmt.Sprintf("u%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(s.Close)
 		w.sess = append(w.sess, s)
 	}
@@ -83,7 +130,9 @@ func newDiffWorkload(t *testing.T, ms *MasterSlave, seed int64) *diffWorkload {
 	} {
 		w.exec(w.sess[0], sql)
 	}
-	w.tempTables()
+	if temp {
+		w.tempTables()
+	}
 	return w
 }
 
@@ -95,9 +144,14 @@ func (w *diffWorkload) tempTables() {
 	}
 }
 
-func (w *diffWorkload) exec(s *MSSession, sql string) {
+// exec runs one statement. A certification abort (at an autocommit write
+// or at COMMIT) is counted: it ends the transaction, and the workload's
+// bookkeeping holds whether or not the transaction committed.
+func (w *diffWorkload) exec(s Conn, sql string) {
 	w.t.Helper()
-	if _, err := s.Exec(sql); err != nil {
+	if _, err := s.Exec(sql); errors.Is(err, ErrCertificationAbort) {
+		w.aborts++
+	} else if err != nil {
 		w.t.Fatalf("%s: %v", sql, err)
 	}
 }
@@ -109,7 +163,11 @@ func (w *diffWorkload) ledger() int { return 1 + w.rng.Intn(w.next) }
 func (w *diffWorkload) run(ops int) {
 	for i := 0; i < ops; i++ {
 		s := w.sess[w.rng.Intn(len(w.sess))]
-		switch w.rng.Intn(10) {
+		op := w.rng.Intn(10)
+		if op == 7 && !w.temp { // no temp tables: redraw among the others
+			op = w.rng.Intn(7)
+		}
+		switch op {
 		case 0: // multi-row insert, AUTO_INCREMENT keys, non-deterministic values
 			n := 1 + w.rng.Intn(4)
 			rows := make([]string, n)
@@ -172,19 +230,23 @@ func (w *diffWorkload) run(ops int) {
 	}
 }
 
-// converged waits for the slaves to drain the master's binlog, then
-// requires every replica in reps to match the first, table by table, and
-// every slave's binlog to stay aligned with the master's.
+// converged requires every replica in reps to match the first, table by
+// table; the caller first waits for replication to drain.
 func (w *diffWorkload) converged(reps []*Replica) {
 	w.t.Helper()
-	waitCaughtUp(w.t, w.ms)
 	rep, err := CheckDivergence(reps, "bank")
 	if err != nil {
 		w.t.Fatal(err)
 	}
 	if !rep.OK() {
-		w.t.Fatalf("slaves diverged from the master: %v", rep)
+		w.t.Fatalf("replicas diverged from %s: %v", reps[0].Name(), rep)
 	}
+}
+
+// binlogsAligned requires every slave's binlog to stay aligned with the
+// master's (reps[0]).
+func (w *diffWorkload) binlogsAligned(reps []*Replica) {
+	w.t.Helper()
 	head := reps[0].Engine().Binlog().Head()
 	for _, r := range reps[1:] {
 		if h := r.Engine().Binlog().Head(); h != head {

@@ -13,12 +13,12 @@ import (
 )
 
 // MMSession is a client session on a multi-master cluster. Reads execute on
-// a load-balanced replica; writes go through total order. Transactions run
-// interactively on the session's home replica as a dry run (so reads see
-// the transaction's own writes), then are rolled back and re-executed in
-// total order at commit — the conservative re-execution that makes
-// statement replication 1-copy-serializable when statements are
-// deterministic.
+// a load-balanced replica; writes go through total order. A transaction
+// runs under SNAPSHOT isolation on the session's home replica (so reads see
+// its own writes); at commit its write set is captured, the local run is
+// rolled back, and the write set is certified in total order and applied as
+// row images on every replica — so RAND(), NOW() and other non-determinism
+// are evaluated once, at the home.
 type MMSession struct {
 	mm   *MultiMaster
 	pool *sessionPool
@@ -44,9 +44,8 @@ type MMSession struct {
 	stmtTimeout time.Duration
 
 	inTxn   bool
-	txnSQL  []string // rewritten scripts for replay
 	dryRun  *engine.Session
-	snapSeq uint64 // certification: home position at BEGIN
+	snapSeq uint64 // home position at BEGIN
 	// serializable tracks the announced isolation level; serializable
 	// reads take 2PL locks and must bypass the result cache.
 	serializable bool
@@ -124,9 +123,7 @@ func (s *MMSession) ExecStmt(st sqlparse.Statement) (*engine.Result, error) {
 }
 
 // ExecStmtArgs routes a pre-parsed statement with bind arguments. Writes
-// that cross the ordering channel as SQL text (statement mode) have their
-// arguments inlined as literals first: the broadcast script is re-executed
-// on every replica with no access to this call's argument vector.
+// bind them at the home replica's run and ship row images.
 func (s *MMSession) ExecStmtArgs(st sqlparse.Statement, args ...sqltypes.Value) (*engine.Result, error) {
 	switch stmt := st.(type) {
 	case *sqlparse.UseDatabase:
@@ -218,11 +215,9 @@ func (s *MMSession) begin() (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.mm.cfg.Mode == CertificationMode {
-		if !sess.InTxn() && sess.Isolation() != engine.Snapshot {
-			if _, err := sess.Exec("SET ISOLATION LEVEL SNAPSHOT"); err != nil {
-				return nil, err
-			}
+	if !sess.InTxn() && sess.Isolation() != engine.Snapshot {
+		if _, err := sess.Exec("SET ISOLATION LEVEL SNAPSHOT"); err != nil {
+			return nil, err
 		}
 	}
 	// Session/strong guarantees extend into explicit transactions, but the
@@ -249,7 +244,6 @@ func (s *MMSession) begin() (*engine.Result, error) {
 	s.bumpReadSeq(pos)
 	s.inTxn = true
 	s.dryRun = sess
-	s.txnSQL = s.txnSQL[:0]
 	return &engine.Result{}, nil
 }
 
@@ -267,59 +261,14 @@ func isDDL(st sqlparse.Statement) bool {
 	return false
 }
 
-// execInTxn runs a statement inside the interactive transaction. In
-// statement mode the write's ? arguments are inlined right here, where the
-// statement text is recorded for the ordering channel, so the script is
-// standalone by construction; in certification mode the argument vector
-// binds at the dry run and the captured write set carries row images.
+// execInTxn runs a statement inside the interactive transaction; the ?
+// arguments bind at the home replica and the write set carries row images.
 func (s *MMSession) execInTxn(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time) (*engine.Result, error) {
 	if isDDL(st) {
-		// DDL is non-transactional (§4.1.2) and would double-execute on
-		// the home replica during script replay.
+		// DDL is non-transactional (§4.1.2) and cannot ride in a write set.
 		return nil, fmt.Errorf("%w: DDL inside explicit transactions on multi-master clusters", ErrUnsupportedStatement)
 	}
-	exec := st
-	if !st.IsRead() && s.mm.cfg.Mode == StatementMode {
-		rewritten, err := s.prepareStatement(st)
-		if err != nil {
-			return nil, err
-		}
-		// The broadcast script crosses the ordering channel as SQL text and
-		// re-executes standalone on every replica, which has no access to
-		// this call's argument vector: bind ? placeholders before rendering.
-		// The local dry run executes the same bound AST directly (no
-		// re-parse), so dry run and replay see identical statements.
-		bound, err := sqlparse.BindParams(rewritten, args)
-		if err != nil {
-			return nil, err
-		}
-		exec, args = bound, nil
-		s.txnSQL = append(s.txnSQL, bound.SQL())
-	}
-	res, err := s.home.ExecStmtArgsDeadlineOn(s.dryRun, exec, st.IsRead(), args, deadline)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// prepareStatement applies the non-determinism policy (§4.3.2): time macros
-// are pinned, unsafe statements are rejected or (dangerously) allowed. The
-// returned statement is the (possibly rewritten) AST to execute and ship.
-func (s *MMSession) prepareStatement(st sqlparse.Statement) (sqlparse.Statement, error) {
-	switch sqlparse.Classify(st) {
-	case sqlparse.Deterministic:
-		return st, nil
-	case sqlparse.RewritableNonDeterministic:
-		rewritten, _ := sqlparse.RewriteTimeFuncs(st, time.Now())
-		return rewritten, nil
-	default:
-		if s.mm.cfg.NonDeterminism == RewriteAndAllow {
-			rewritten, _ := sqlparse.RewriteTimeFuncs(st, time.Now())
-			return rewritten, nil
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNonDeterministic, st.SQL()) // lint:rawsql-ok error-message rendering; text never reaches the ordering channel
-	}
+	return s.home.ExecStmtArgsDeadlineOn(s.dryRun, st, st.IsRead(), args, deadline)
 }
 
 func (s *MMSession) commit() (*engine.Result, error) {
@@ -329,48 +278,16 @@ func (s *MMSession) commit() (*engine.Result, error) {
 	defer func() {
 		s.inTxn = false
 		s.dryRun = nil
-		s.txnSQL = nil
 	}()
-	switch s.mm.cfg.Mode {
-	case StatementMode:
-		// Discard the dry run; re-execute the script in total order.
-		s.dryRun.Rollback()
-		if len(s.txnSQL) == 0 {
-			return &engine.Result{}, nil // read-only transaction
-		}
-		return s.submitScript(s.txnSQL)
-	default: // CertificationMode
-		ws, _, err := s.dryRun.PendingWriteSet()
-		if err != nil {
-			s.dryRun.Rollback()
-			return nil, err
-		}
-		s.dryRun.Rollback()
-		if len(ws.Ops) == 0 {
-			return &engine.Result{}, nil
-		}
-		if !s.home.Healthy() {
-			// Same pre-ordering refusal as submitScript: an ordered write
-			// set would commit cluster-wide while this session errors.
-			return nil, ErrReplicaDown
-		}
-		txn := mmTxn{
-			ID:       s.mm.nextTxn.Add(1),
-			Origin:   s.home.Name(),
-			Database: s.db,
-			WS:       ws,
-			Snapshot: s.snapSeq,
-			User:     s.user,
-		}
-		res, err := s.mm.submitAndWait(s.mm.ordererFor(s.home), s.home, txn)
-		if err == nil {
-			s.lastWriteSeq = s.home.AppliedSeq()
-			if res != nil && res.AtSeq == 0 {
-				res.AtSeq = s.lastWriteSeq
-			}
-		}
-		return res, err
+	ws, _, err := s.dryRun.PendingWriteSet()
+	s.dryRun.Rollback()
+	if err != nil {
+		return nil, err
 	}
+	if len(ws.Ops) == 0 {
+		return &engine.Result{}, nil
+	}
+	return s.submit(mmTxn{WS: ws, Snapshot: s.snapSeq})
 }
 
 func (s *MMSession) rollback() (*engine.Result, error) {
@@ -380,60 +297,43 @@ func (s *MMSession) rollback() (*engine.Result, error) {
 	s.dryRun.Rollback()
 	s.inTxn = false
 	s.dryRun = nil
-	s.txnSQL = nil
 	return &engine.Result{}, nil
 }
 
-// execAutocommitWrite orders a single write statement (? arguments are
-// inlined below in statement mode; bound at the dry run in certification
-// mode).
+// execAutocommitWrite orders a single write statement: DDL as its text,
+// anything else as a one-statement certified transaction.
 func (s *MMSession) execAutocommitWrite(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time) (*engine.Result, error) {
 	if isDDL(st) {
-		// Schema changes replicate as ordered statements in either mode:
-		// write sets cannot carry DDL (§4.3.2).
-		return s.submitScript([]string{st.SQL()}) // lint:rawsql-ok isDDL-guarded: DDL statements cannot carry ? placeholders (see sqlparse/bind.go)
+		// Write sets cannot carry DDL (§4.3.2): schema changes replicate as
+		// ordered statements.
+		return s.submit(mmTxn{DDL: st.SQL()}) // lint:rawsql-ok isDDL-guarded: DDL statements cannot carry ? placeholders (see sqlparse/bind.go)
 	}
-	if s.mm.cfg.Mode == CertificationMode {
-		// An autocommit write is a one-statement transaction; the caller's
-		// admission slot covers the whole begin/execute/commit composition.
-		if _, err := s.begin(); err != nil {
-			return nil, err
-		}
-		if _, err := s.execInTxn(st, args, deadline); err != nil {
-			_, _ = s.rollback()
-			return nil, err
-		}
-		return s.commit()
-	}
-	prepared, err := s.prepareStatement(st)
-	if err != nil {
+	// The caller's admission slot covers the whole begin/execute/commit
+	// composition.
+	if _, err := s.begin(); err != nil {
 		return nil, err
 	}
-	// The ordered script re-executes standalone on every replica: inline the
-	// ? arguments at the ship site so the text can never leave with unbound
-	// placeholders.
-	bound, err := sqlparse.BindParams(prepared, args)
-	if err != nil {
+	if _, err := s.execInTxn(st, args, deadline); err != nil {
+		_, _ = s.rollback()
 		return nil, err
 	}
-	return s.submitScript([]string{bound.SQL()})
+	return s.commit()
 }
 
-func (s *MMSession) submitScript(stmts []string) (*engine.Result, error) {
+// submit orders txn (a write set or one DDL statement) from this session's
+// home replica and waits for its outcome there.
+func (s *MMSession) submit(txn mmTxn) (*engine.Result, error) {
 	if !s.home.Healthy() {
-		// Refuse BEFORE ordering: once submitted, the script commits
+		// Refuse BEFORE ordering: once submitted, the transaction commits
 		// cluster-wide even though this session (whose dead home applier
 		// can never acknowledge it) would report failure — and a pooled
 		// driver's retry would then double-apply a non-idempotent write.
 		return nil, ErrReplicaDown
 	}
-	txn := mmTxn{
-		ID:       s.mm.nextTxn.Add(1),
-		Origin:   s.home.Name(),
-		Database: s.db,
-		Stmts:    append([]string(nil), stmts...),
-		User:     s.user,
-	}
+	txn.ID = s.mm.nextTxn.Add(1)
+	txn.Origin = s.home.Name()
+	txn.Database = s.db
+	txn.User = s.user
 	res, err := s.mm.submitAndWait(s.mm.ordererFor(s.home), s.home, txn)
 	if err == nil {
 		s.lastWriteSeq = s.home.AppliedSeq()

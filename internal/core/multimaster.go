@@ -13,41 +13,6 @@ import (
 	"repro/internal/qcache"
 )
 
-// MMMode selects between the two multi-master replication designs of
-// §4.3.2.
-type MMMode int
-
-// Multi-master modes.
-const (
-	// StatementMode multicasts every update (or transaction script) in
-	// total order; every replica executes every write.
-	StatementMode MMMode = iota
-	// CertificationMode executes a transaction at one replica, then
-	// broadcasts its write set for certification (first-committer-wins
-	// against concurrent certified transactions) and remote application.
-	CertificationMode
-)
-
-// NonDetPolicy is what statement replication does with non-deterministic
-// statements (§4.3.2).
-type NonDetPolicy int
-
-// Non-determinism handling policies.
-const (
-	// RewriteAndReject pins now()/current_timestamp to a constant and
-	// rejects statements that cannot be fixed by rewriting (rand(),
-	// LIMIT without ORDER BY feeding updates): the safe configuration.
-	RewriteAndReject NonDetPolicy = iota
-	// RewriteAndAllow rewrites what it can and broadcasts the rest
-	// verbatim — the configuration that diverges clusters in the field,
-	// kept so experiment C6 can measure exactly that.
-	RewriteAndAllow
-)
-
-// ErrNonDeterministic is returned when a statement is rejected under
-// RewriteAndReject.
-var ErrNonDeterministic = errors.New("core: statement is not deterministic under statement replication (§4.3.2)")
-
 // ErrCertificationAbort is returned when certification detects a
 // write-write conflict with a concurrently committed transaction.
 var ErrCertificationAbort = errors.New("core: transaction aborted by certification (first-committer-wins)")
@@ -66,16 +31,13 @@ var ErrCommitUncertain = errors.New("core: commit outcome uncertain — ordered 
 
 // MultiMasterConfig configures a multi-master cluster.
 type MultiMasterConfig struct {
-	Mode MMMode
-	// NonDeterminism only applies in StatementMode.
-	NonDeterminism NonDetPolicy
 	// ReadPolicy balances reads; nil means LPRF.
 	ReadPolicy lb.Policy
 	// ReadLevel is the balancing granularity for reads.
 	ReadLevel lb.Level
 	// Consistency is the read guarantee.
 	Consistency Consistency
-	// Certifier handles CertificationMode conflicts; nil means a
+	// Certifier detects write-write conflicts; nil means a
 	// replicated certifier (one deterministic instance per replica, no
 	// SPOF). Set a shared *Certifier for the centralized variant whose
 	// SPOF behaviour C5 measures.
@@ -87,9 +49,9 @@ type MultiMasterConfig struct {
 	// majority view (only meaningful with GCS orderers).
 	QuorumOf int
 	// QueryCache, when non-nil, serves eligible reads from a middleware
-	// result cache (see MasterSlaveConfig.QueryCache). Certification-mode
-	// writes invalidate exactly the tables of their write set; statement-
-	// mode scripts have an unknown footprint and flush their database.
+	// result cache (see MasterSlaveConfig.QueryCache). Certified writes
+	// invalidate exactly the tables of their write set; DDL flushes its
+	// database.
 	QueryCache *qcache.Cache
 	// Admission, when non-nil, gates every statement through the overload
 	// controller (see MasterSlaveConfig.Admission). In layered deployments
@@ -103,14 +65,14 @@ type MultiMasterConfig struct {
 	StatementTimeout time.Duration
 }
 
-// mmTxn is the ordered payload: either a statement script or a write set.
+// mmTxn is the ordered payload: either a write set or one DDL statement.
 type mmTxn struct {
 	ID       uint64
 	Origin   string // home replica name
 	Database string
-	Stmts    []string         // StatementMode
-	WS       *engine.WriteSet // CertificationMode
-	Snapshot uint64           // certification: position the txn read at
+	DDL      string
+	WS       *engine.WriteSet
+	Snapshot uint64 // position the transaction read at
 	User     string
 }
 
@@ -232,8 +194,8 @@ func (mm *MultiMaster) Close() {
 	mm.wg.Wait()
 }
 
-// applier consumes the totally-ordered stream into one replica. In
-// certification mode it also runs the (replicated or centralized) certifier.
+// applier consumes the totally-ordered stream into one replica and runs
+// the (replicated or centralized) certifier on its write sets.
 func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, stop chan struct{}) {
 	defer mm.wg.Done()
 	session := r.Engine().NewSession("replication")
@@ -259,7 +221,7 @@ func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, s
 			if txn.WS != nil {
 				outcome = mm.applyCertified(r, cert, ord.Seq, txn, count)
 			} else {
-				outcome = mm.applyScript(r, session, &curDB, txn, count)
+				outcome = mm.applyDDL(r, session, &curDB, txn, count)
 			}
 			r.receivedSeq.Store(ord.Seq)
 			r.appliedSeq.Store(ord.Seq)
@@ -273,14 +235,14 @@ func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, s
 			// Invalidate cached results BEFORE notify: the origin applier's
 			// notify is what acknowledges the commit to the writing session,
 			// and no ack may race its own invalidation. Certified write sets
-			// name their tables exactly; statement scripts are opaque and
-			// flush their database (empty database: flush everything).
+			// name their tables exactly; DDL flushes its database (empty
+			// database: flush everything).
 			if mm.qc != nil && count && outcome.err == nil {
 				if txn.WS != nil {
 					mm.qc.InvalidateTables(txn.WS.Tables(), ord.Seq)
 				} else {
 					mm.qc.ApplyEvent(engine.Event{
-						Seq: ord.Seq, Stmts: txn.Stmts, Database: txn.Database,
+						Seq: ord.Seq, Stmts: []string{txn.DDL}, DDL: true, Database: txn.Database,
 					})
 				}
 			}
@@ -298,8 +260,8 @@ func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, s
 	}
 }
 
-// applyScript executes a statement-mode transaction script.
-func (mm *MultiMaster) applyScript(r *Replica, s *engine.Session, curDB *string, txn mmTxn, count bool) txnOutcome {
+// applyDDL executes an ordered schema change.
+func (mm *MultiMaster) applyDDL(r *Replica, s *engine.Session, curDB *string, txn mmTxn, count bool) txnOutcome {
 	if err := r.acquire(); err != nil {
 		return txnOutcome{err: err}
 	}
@@ -310,33 +272,15 @@ func (mm *MultiMaster) applyScript(r *Replica, s *engine.Session, curDB *string,
 		}
 		*curDB = txn.Database
 	}
-	var last *engine.Result
-	single := len(txn.Stmts) == 1
-	if !single {
-		if _, err := s.Exec("BEGIN"); err != nil {
-			return txnOutcome{err: err}
-		}
-	}
-	for _, sql := range txn.Stmts {
-		r.applyDelay()
-		res, err := s.Exec(sql)
-		if err != nil {
-			if !single {
-				_, _ = s.Exec("ROLLBACK")
-			}
-			return txnOutcome{err: err}
-		}
-		last = res
-	}
-	if !single {
-		if _, err := s.Exec("COMMIT"); err != nil {
-			return txnOutcome{err: err}
-		}
+	r.applyDelay()
+	res, err := s.Exec(txn.DDL)
+	if err != nil {
+		return txnOutcome{err: err}
 	}
 	if count {
 		mm.commits.Add(1)
 	}
-	return txnOutcome{res: last}
+	return txnOutcome{res: res}
 }
 
 // applyCertified certifies a write set and applies it if it passes.

@@ -281,13 +281,12 @@ func TestCachedReadsConcurrentWriters(t *testing.T) {
 
 // ---- multi-master ----
 
-// TestMMCachedReadHonorsSessionConsistency (certification mode): after a
-// certified commit, the writing session's next read must not be served the
-// pre-write cached result.
+// TestMMCachedReadHonorsSessionConsistency: after a certified commit, the
+// writing session's next read must not be served the pre-write cached
+// result.
 func TestMMCachedReadHonorsSessionConsistency(t *testing.T) {
 	qc := qcache.New(qcache.Config{})
 	mm, sessions := newMMCluster(t, 3, MultiMasterConfig{
-		Mode:        CertificationMode,
 		Consistency: SessionConsistent,
 		QueryCache:  qc,
 	})
@@ -300,25 +299,25 @@ func TestMMCachedReadHonorsSessionConsistency(t *testing.T) {
 		t.Fatalf("pre-write count: %v", res.Rows)
 	}
 	mustExecC(t, sess.Exec, "DELETE FROM items WHERE id = 2")
+	// Direct probe at no freshness floor: the write-set invalidation
+	// happened before the commit was acknowledged, so the old entry is gone
+	// for everyone.
+	text := normalizedSQL(t, "SELECT COUNT(*) FROM items")
+	if _, ok := mm.QueryCacheScope().Get("user0", "shop", text, nil, 0); ok {
+		t.Fatal("pre-write entry survived certified commit ack")
+	}
 	res = mustExecC(t, sess.Exec, "SELECT COUNT(*) FROM items")
 	if got := res.Rows[0][0].Int(); got != 1 {
 		t.Fatalf("session-consistent read served stale cached result: COUNT=%d, want 1", got)
 	}
-	// Direct probe: the write-set invalidation happened before the commit
-	// was acknowledged, so the old entry is gone for everyone.
-	text := normalizedSQL(t, "SELECT COUNT(*) FROM items")
-	if res, ok := mm.QueryCacheScope().Get("test", "shop", text, nil, 0); ok && res.Rows[0][0].Int() == 2 {
-		t.Fatal("pre-write entry survived certified commit ack")
-	}
 }
 
-// TestMMStatementModeFlushesDatabase: statement-mode scripts have no
-// captured write set; committing one flushes the affected database's
-// cached results before the ack.
-func TestMMStatementModeFlushesDatabase(t *testing.T) {
+// TestMMDDLFlushesDatabase: DDL has no write set; committing it flushes
+// the affected database's cached results before the ack, so a table dropped
+// and created again never answers from its old incarnation's entries.
+func TestMMDDLFlushesDatabase(t *testing.T) {
 	qc := qcache.New(qcache.Config{})
 	mm, sessions := newMMCluster(t, 2, MultiMasterConfig{
-		Mode:        StatementMode,
 		Consistency: SessionConsistent,
 		QueryCache:  qc,
 	})
@@ -326,22 +325,30 @@ func TestMMStatementModeFlushesDatabase(t *testing.T) {
 	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
 	waitMMCaughtUp(t, mm)
 
-	mustExecC(t, sess.Exec, "SELECT COUNT(*) FROM items")
-	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (2, 'b')")
 	res := mustExecC(t, sess.Exec, "SELECT COUNT(*) FROM items")
-	if got := res.Rows[0][0].Int(); got != 2 {
-		t.Fatalf("read after statement-mode write: COUNT=%d, want 2", got)
+	if got := res.Rows[0][0].Int(); got != 1 {
+		t.Fatalf("pre-DDL count: %d", got)
 	}
-	_ = mm
+	mustExecC(t, sess.Exec, "DROP TABLE items")
+	mustExecC(t, sess.Exec, "CREATE TABLE items (id INTEGER PRIMARY KEY, name TEXT)")
+	// Direct probe at no freshness floor: the pre-DDL entry is gone, not
+	// merely too old for this session.
+	text := normalizedSQL(t, "SELECT COUNT(*) FROM items")
+	if _, ok := mm.QueryCacheScope().Get("user0", "shop", text, nil, 0); ok {
+		t.Fatal("pre-DDL entry survived the DDL ack")
+	}
+	res = mustExecC(t, sess.Exec, "SELECT COUNT(*) FROM items")
+	if got := res.Rows[0][0].Int(); got != 0 {
+		t.Fatalf("read after DROP/CREATE served the cached count: COUNT=%d, want 0", got)
+	}
 }
 
-// TestMMCachedReadsConcurrentWriters: certification-mode writers against
+// TestMMCachedReadsConcurrentWriters: certified writers against
 // cached readers under -race, same invariant discipline as the
 // master-slave variant.
 func TestMMCachedReadsConcurrentWriters(t *testing.T) {
 	qc := qcache.New(qcache.Config{})
 	mm, sessions := newMMCluster(t, 3, MultiMasterConfig{
-		Mode:        CertificationMode,
 		Consistency: SessionConsistent,
 		QueryCache:  qc,
 	})

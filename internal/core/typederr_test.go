@@ -10,7 +10,7 @@ import (
 // sentinels, so drivers and the wire layer can classify them.
 
 func TestMMSessionTxnStateSentinel(t *testing.T) {
-	_, sessions := newMMCluster(t, 2, MultiMasterConfig{Mode: StatementMode})
+	_, sessions := newMMCluster(t, 2, MultiMasterConfig{})
 	s := sessions[0]
 
 	if _, err := s.Exec("COMMIT"); !errors.Is(err, ErrTxnState) {
@@ -27,7 +27,7 @@ func TestMMSessionTxnStateSentinel(t *testing.T) {
 }
 
 func TestMMSessionDDLInTxnSentinel(t *testing.T) {
-	_, sessions := newMMCluster(t, 2, MultiMasterConfig{Mode: StatementMode})
+	_, sessions := newMMCluster(t, 2, MultiMasterConfig{})
 	s := sessions[0]
 	mustExecC(t, s.Exec, "BEGIN")
 	_, err := s.Exec("CREATE TABLE nope (id INTEGER PRIMARY KEY)")

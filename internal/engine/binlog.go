@@ -183,20 +183,6 @@ func (b *Binlog) Subscribe(buf int) (<-chan Event, func()) {
 	}
 }
 
-// BacklogDepth reports the number of undelivered events across subscribers;
-// used by lag probes in tests.
-func (b *Binlog) BacklogDepth() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, s := range b.subs {
-		s.mu.Lock()
-		n += len(s.queue) + len(s.ch)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // emitDDLLocked records a DDL statement in the binlog with its own commit
 // timestamp. Caller holds e.mu.
 func (e *Engine) emitDDLLocked(sql string, s *Session) {

@@ -66,13 +66,11 @@ type Trigger struct {
 }
 
 // Procedure is a stored procedure: named parameters plus a statement list
-// (§4.2.1). Deterministic marks procedures safe for statement replication;
-// the default is false because no schema describes a procedure's behaviour.
+// (§4.2.1).
 type Procedure struct {
-	Name          string
-	Params        []string
-	Body          []sqlparse.Statement
-	Deterministic bool
+	Name   string
+	Params []string
+	Body   []sqlparse.Statement
 }
 
 // rowVersion is one MVCC version of a row. createdTS/deletedTS are logical
@@ -353,27 +351,6 @@ func (e *Engine) TableChecksum(db, table string) (uint64, error) {
 		}
 	}
 	return sum ^ (n * 0x9e3779b97f4a7c15), nil
-}
-
-// DatabaseChecksum folds all table checksums of a database together.
-func (e *Engine) DatabaseChecksum(db string) (uint64, error) {
-	e.mu.RLock()
-	d, err := e.database(db)
-	if err != nil {
-		e.mu.RUnlock()
-		return 0, err
-	}
-	names := d.TableNames()
-	e.mu.RUnlock()
-	var sum uint64
-	for _, n := range names {
-		c, err := e.TableChecksum(db, n)
-		if err != nil {
-			return 0, err
-		}
-		sum ^= c + sqltypes.HashValue(sqltypes.NewString(n))
-	}
-	return sum, nil
 }
 
 // RowCount returns the number of live rows in a table at the latest

@@ -342,17 +342,6 @@ func (l *Log) Unpin(name string) {
 	delete(l.pins, name)
 }
 
-// Registered returns the known replica positions.
-func (l *Log) Registered() map[string]uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]uint64, len(l.replicas))
-	for k, v := range l.replicas {
-		out[k] = v
-	}
-	return out
-}
-
 // Compact drops entries (and, on disk, whole segments) no resync can ever
 // need: everything at or below the oldest checkpoint still needed by a
 // registered replica. A replica at position p restores from the newest

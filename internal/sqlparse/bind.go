@@ -181,7 +181,7 @@ func (b *binder) bindExpr(e Expr) Expr {
 }
 
 // walkStatementExprs visits every expression of a statement, descending into
-// subqueries (unlike walkExpr, which stops at IN (SELECT ...) boundaries).
+// subqueries.
 func walkStatementExprs(st Statement, visit func(Expr)) {
 	var walk func(Expr)
 	var walkSel func(*Select)

@@ -16,8 +16,8 @@ import (
 //
 // Cached statements are shared across sessions and goroutines, which is safe
 // because parsed ASTs are immutable by convention: the executor only reads
-// them, parameters are bound at execution time via ?-placeholders, and the
-// statement rewriters (rewrite.go) are copy-on-write. Anything that needs to
+// them, parameters are bound at execution time via ?-placeholders, and
+// BindParams is copy-on-write. Anything that needs to
 // mutate a statement must rebuild it, never edit it in place.
 //
 // The cache stores syntax, not plans bound to a schema: table and column

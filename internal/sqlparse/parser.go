@@ -1337,7 +1337,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "COUNT", "NEXTVAL":
 			return p.parseFuncCall(p.tok.text)
 		case "TIMESTAMP":
-			// TIMESTAMP 'rfc3339' literal (how rewritten now() renders).
+			// TIMESTAMP 'rfc3339' literal (how a bound time value renders).
 			if err := p.advance(); err != nil {
 				return nil, err
 			}

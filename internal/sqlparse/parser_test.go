@@ -1,9 +1,10 @@
 package sqlparse
 
 import (
-	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sqltypes"
 )
 
 func mustParse(t *testing.T, sql string) Statement {
@@ -301,9 +302,8 @@ func TestParseErrors(t *testing.T) {
 
 func TestParseParams(t *testing.T) {
 	st := mustParse(t, "SELECT * FROM t WHERE id = ? AND name = ?")
-	sel := st.(*Select)
 	var params []int
-	walkExpr(sel.Where, func(e Expr) {
+	walkStatementExprs(st, func(e Expr) {
 		if p, ok := e.(*Param); ok {
 			params = append(params, p.Index)
 		}
@@ -315,7 +315,8 @@ func TestParseParams(t *testing.T) {
 
 func TestSQLRoundTrip(t *testing.T) {
 	// Statements must render back to parseable SQL that renders identically
-	// (fixed point after one round) — statement replication depends on it.
+	// (fixed point after one round) — DDL shipping and the recovery log
+	// depend on it.
 	cases := []string{
 		"CREATE DATABASE shop",
 		"CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)",
@@ -349,61 +350,6 @@ func TestSQLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClassifyDeterminism(t *testing.T) {
-	cases := []struct {
-		sql  string
-		want Determinism
-	}{
-		{"UPDATE t SET v = 1 WHERE id = 2", Deterministic},
-		{"INSERT INTO t (v) VALUES (42)", Deterministic},
-		{"UPDATE t SET ts = NOW() WHERE id = 1", RewritableNonDeterministic},
-		{"INSERT INTO t (ts) VALUES (CURRENT_TIMESTAMP())", RewritableNonDeterministic},
-		{"UPDATE t SET x = RAND()", UnsafeNonDeterministic},
-		{"UPDATE foo SET k = 'x' WHERE id IN (SELECT id FROM foo WHERE k IS NULL LIMIT 10)", UnsafeNonDeterministic},
-		{"UPDATE foo SET k = 'x' WHERE id IN (SELECT id FROM foo WHERE k IS NULL ORDER BY id LIMIT 10)", Deterministic},
-		{"CALL anything()", UnsafeNonDeterministic},
-		{"DELETE FROM t WHERE id IN (SELECT id FROM t LIMIT 1)", UnsafeNonDeterministic},
-	}
-	for _, c := range cases {
-		st := mustParse(t, c.sql)
-		if got := Classify(st); got != c.want {
-			t.Errorf("Classify(%q) = %v, want %v", c.sql, got, c.want)
-		}
-	}
-}
-
-func TestRewriteTimeFuncs(t *testing.T) {
-	at := time.Unix(1234567, 0)
-	st := mustParse(t, "UPDATE t SET ts = NOW(), v = v + 1 WHERE id = 3")
-	out, changed := RewriteTimeFuncs(st, at)
-	if !changed {
-		t.Fatal("expected rewrite")
-	}
-	if strings.Contains(out.SQL(), "NOW") {
-		t.Errorf("NOW survived rewrite: %s", out.SQL())
-	}
-	// Original must be untouched.
-	if !strings.Contains(st.SQL(), "NOW") {
-		t.Error("original statement was mutated")
-	}
-	// Rewritten statement must classify deterministic.
-	re, err := Parse(out.SQL())
-	if err != nil {
-		t.Fatalf("re-parse: %v (%s)", err, out.SQL())
-	}
-	if Classify(re) != Deterministic {
-		t.Error("rewritten statement should be deterministic")
-	}
-}
-
-func TestRewriteDoesNotFixRand(t *testing.T) {
-	st := mustParse(t, "UPDATE t SET x = RAND()")
-	out, _ := RewriteTimeFuncs(st, time.Unix(0, 0))
-	if Classify(out) != UnsafeNonDeterministic {
-		t.Error("rand() must stay unsafe after time rewriting (§4.3.2)")
-	}
-}
-
 func TestTablesForConflictScheduling(t *testing.T) {
 	st := mustParse(t, "UPDATE a SET v = 1")
 	if got := st.Tables(); len(got) != 1 || got[0] != "a" {
@@ -423,13 +369,13 @@ func TestTablesForConflictScheduling(t *testing.T) {
 
 func TestParseTimeParsesAsTimestampLiteralRoundTrip(t *testing.T) {
 	at := time.Date(2008, 6, 9, 12, 0, 0, 0, time.UTC)
-	st := mustParse(t, "INSERT INTO t (ts) VALUES (NOW())")
-	out, changed := RewriteTimeFuncs(st, at)
-	if !changed {
-		t.Fatal("no rewrite")
+	st := mustParse(t, "INSERT INTO t (ts) VALUES (?)")
+	out, err := BindParams(st, []sqltypes.Value{sqltypes.NewTime(at)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := Parse(out.SQL()); err != nil {
-		t.Fatalf("rewritten SQL unparseable: %v\n%s", err, out.SQL())
+		t.Fatalf("bound SQL unparseable: %v\n%s", err, out.SQL())
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -101,4 +102,41 @@ func (s *Server) openConns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.conns)
+}
+
+// TestMaxConnsSilentPeerTimesOut: a peer that connects and never sends its
+// hello holds its -max-conns slot only until the hello timeout, after which
+// a real client is admitted.
+func TestMaxConnsSilentPeerTimesOut(t *testing.T) {
+	saved := helloTimeout
+	helloTimeout = 100 * time.Millisecond
+	srv, err := NewServer("127.0.0.1:0", &EngineBackend{Engine: engine.New(engine.Config{})}, WithMaxConns(1))
+	helloTimeout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	silent, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	for deadline := time.Now().Add(2 * time.Second); srv.openConns() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("server never registered the silent connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	var lastErr error
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		c, err := Dial(srv.Addr(), DriverConfig{User: "app"})
+		if err == nil {
+			c.Close()
+			return
+		}
+		lastErr = err
+	}
+	t.Fatalf("silent peer still holds the only slot after the hello timeout: %v", lastErr)
 }

@@ -169,9 +169,10 @@ type Backend interface {
 
 // Server accepts wire connections and dispatches them to a Backend.
 type Server struct {
-	backend  Backend
-	ln       net.Listener
-	maxConns int
+	backend      Backend
+	ln           net.Listener
+	maxConns     int
+	helloTimeout time.Duration
 
 	mu       sync.Mutex
 	conns    map[net.Conn]bool
@@ -191,13 +192,19 @@ func WithMaxConns(n int) ServerOption {
 	return func(s *Server) { s.maxConns = n }
 }
 
+// helloTimeout bounds how long a new connection may take to send its hello
+// (and, for a refused one, its first frame): a peer that connects and stays
+// silent must not hold a serving goroutine and a -max-conns slot forever.
+// A server samples it once, at NewServer.
+var helloTimeout = 2 * time.Second
+
 // NewServer starts a server on addr ("127.0.0.1:0" picks a free port).
 func NewServer(addr string, backend Backend, opts ...ServerOption) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{backend: backend, ln: ln, conns: make(map[net.Conn]bool)}
+	s := &Server{backend: backend, ln: ln, helloTimeout: helloTimeout, conns: make(map[net.Conn]bool)}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -248,7 +255,7 @@ func (s *Server) acceptLoop() {
 		if s.maxConns > 0 && len(s.conns) >= s.maxConns {
 			s.rejected++
 			s.mu.Unlock()
-			go rejectConn(conn, s.maxConns)
+			go rejectConn(conn, s.maxConns, s.helloTimeout)
 			continue
 		}
 		s.conns[conn] = true
@@ -271,9 +278,9 @@ func overloadedResp(limit int) *Response {
 // error, then hangs up. Reading the frame first matters: responding before
 // the client writes would race its send and could surface as a bare
 // connection reset instead of the typed error.
-func rejectConn(conn net.Conn, limit int) {
+func rejectConn(conn net.Conn, limit int, timeout time.Duration) {
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	_ = conn.SetDeadline(time.Now().Add(timeout))
 	br := bufio.NewReader(conn)
 	if err := acceptHello(br, conn); err != nil {
 		return
@@ -390,7 +397,7 @@ const serverWindow = 128
 // per connection — sessions are stateful — but decode, execute and encode
 // of consecutive pipelined requests overlap, and the writer coalesces
 // bursts of responses into one flush. A peer that does not open with the
-// hello is dropped before any session exists.
+// hello within helloTimeout is dropped before any session exists.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -400,7 +407,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
+	_ = conn.SetDeadline(time.Now().Add(s.helloTimeout))
 	if err := acceptHello(br, conn); err != nil {
+		return
+	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return
 	}
 	type job struct {

@@ -289,7 +289,6 @@ func TestEndToEndChaosPartitionHealOverWire(t *testing.T) {
 		HeartbeatInterval: 5 * time.Millisecond,
 		SuspectTimeout:    40 * time.Millisecond,
 	}, 7, replication.MultiMasterConfig{
-		Mode:          replication.StatementMode,
 		QuorumOf:      n,
 		CommitTimeout: 500 * time.Millisecond,
 	})

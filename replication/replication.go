@@ -234,17 +234,13 @@ func NewAdmissionController(cfg AdmissionConfig) *AdmissionController {
 // (concurrency slots and wait queue full, or per-user limit reached).
 func ErrOverloaded() error { return admission.ErrOverloaded }
 
-// Safety, consistency and mode enums.
+// Safety, consistency, partitioning and balancing-level enums.
 const (
 	OneSafe           = core.OneSafe
 	TwoSafe           = core.TwoSafe
 	ReadAny           = core.ReadAny
 	SessionConsistent = core.SessionConsistent
 	StrongConsistent  = core.StrongConsistent
-	StatementMode     = core.StatementMode
-	CertificationMode = core.CertificationMode
-	RewriteAndReject  = core.RewriteAndReject
-	RewriteAndAllow   = core.RewriteAndAllow
 	HashPartition     = core.HashPartition
 	RangePartition    = core.RangePartition
 	ListPartition     = core.ListPartition

@@ -60,7 +60,7 @@ func TestFacadeCertificationConflict(t *testing.T) {
 	defer ord.Close()
 	mm, err := replication.NewMultiMaster([]*replication.Replica{r1, r2},
 		[]replication.Orderer{ord},
-		replication.MultiMasterConfig{Mode: replication.CertificationMode})
+		replication.MultiMasterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,6 @@ func TestFacadeQuorumRefusesMinorityWrites(t *testing.T) {
 		ords[i] = orderers[i]
 	}
 	mm, err := replication.NewMultiMaster(reps, ords, replication.MultiMasterConfig{
-		Mode:          replication.StatementMode,
 		QuorumOf:      n,
 		CommitTimeout: 300 * time.Millisecond,
 	})
