@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gcs"
 	"repro/internal/testutil"
@@ -124,7 +123,7 @@ func TestEndToEndMultiMasterOverGCS(t *testing.T) {
 				case err == nil:
 					errs <- fmt.Errorf("committed increment wrote %d rows", res.RowsAffected)
 					return
-				case !errors.Is(err, core.ErrCertificationAbort):
+				case !errors.Is(err, replication.ErrCertificationAbort()):
 					errs <- err
 					return
 				}

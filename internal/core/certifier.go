@@ -22,9 +22,12 @@ type Certifier struct {
 	// decided caches per-position decisions: a centralized certifier is
 	// consulted once per replica for the same ordered transaction and
 	// must answer identically every time.
-	decided   map[uint64]bool
-	failed    bool
-	decisions uint64
+	decided map[uint64]bool
+	// high is the highest position decided; lostThrough is its value at
+	// the last Fail: every write the failure forgot is at or below it.
+	high, lostThrough uint64
+	failed            bool
+	decisions         uint64
 }
 
 // ErrCertifierDown is returned while a centralized certifier is failed —
@@ -38,7 +41,9 @@ func NewCertifier() *Certifier {
 
 // Certify decides one transaction: it commits iff no key in its write set
 // was written by a transaction certified after the submitter's snapshot
-// position. On commit the certifier records the write positions.
+// position. On commit the certifier records the write positions. A
+// transaction ordered after a failure whose snapshot predates the writes
+// the failure forgot aborts: they cannot be checked, and may conflict.
 func (c *Certifier) Certify(seq, snapshot uint64, ws *engine.WriteSet) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -49,15 +54,16 @@ func (c *Certifier) Certify(seq, snapshot uint64, ws *engine.WriteSet) (bool, er
 		return d, nil // repeat consultation for the same ordered txn
 	}
 	c.decisions++
-	commit := true
-	for _, key := range ws.Keys() {
-		if last, ok := c.lastWriter[key]; ok && last > snapshot {
+	c.high = max(c.high, seq)
+	commit := seq <= c.lostThrough || snapshot >= c.lostThrough
+	keys := ws.Keys()
+	for i := 0; commit && i < len(keys); i++ {
+		if last, ok := c.lastWriter[keys[i]]; ok && last > snapshot {
 			commit = false
-			break
 		}
 	}
 	if commit {
-		for _, key := range ws.Keys() {
+		for _, key := range keys {
 			c.lastWriter[key] = seq
 		}
 	}
@@ -86,13 +92,14 @@ func (c *Certifier) Fail() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.failed = true
+	c.lostThrough = c.high
 	c.lastWriter = make(map[string]uint64)
 	c.decided = make(map[uint64]bool)
 }
 
-// Repair brings the certifier back up with empty soft state: a transaction
-// whose snapshot predates the outage is certified only against the writes
-// ordered after the repair.
+// Repair brings the certifier back up with empty soft state. Transactions
+// whose snapshot predates the outage abort (see Certify) rather than be
+// certified against only the writes ordered after the repair.
 func (c *Certifier) Repair() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

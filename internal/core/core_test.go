@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -535,6 +536,101 @@ func TestMMCentralizedCertifierSPOF(t *testing.T) {
 	}
 	cert.Repair()
 	mustExecC(t, sessions[0].Exec, "UPDATE items SET stock = 2 WHERE id = 1")
+}
+
+// TestMMCertifierRepairAbortsPreOutageSnapshot: a failed centralized
+// certifier forgets its write history, so after the repair a transaction
+// whose snapshot predates the outage must abort rather than overwrite a
+// write certified before it (a lost update).
+func TestMMCertifierRepairAbortsPreOutageSnapshot(t *testing.T) {
+	cert := NewCertifier()
+	mm, sessions := newMMCluster(t, 2, MultiMasterConfig{Certifier: cert})
+	mustExecC(t, sessions[0].Exec, "INSERT INTO items (id, name, stock) VALUES (1, 'a', 0)")
+	waitMMCaughtUp(t, mm)
+	s1, s2 := sessions[0], sessions[1]
+	mustExecC(t, s1.Exec, "BEGIN")
+	mustExecC(t, s1.Exec, "UPDATE items SET stock = 1 WHERE id = 1")
+	mustExecC(t, s2.Exec, "UPDATE items SET stock = 2 WHERE id = 1")
+	waitMMCaughtUp(t, mm)
+	cert.Fail()
+	cert.Repair()
+	if _, err := s1.Exec("COMMIT"); !errors.Is(err, ErrCertificationAbort) {
+		t.Fatalf("commit over a pre-outage snapshot: err = %v, want %v", err, ErrCertificationAbort)
+	}
+	waitMMCaughtUp(t, mm)
+	for _, r := range mm.Replicas() {
+		s := r.Engine().NewSession("check")
+		_, _ = s.Exec("USE shop")
+		res, err := s.Exec("SELECT stock FROM items WHERE id = 1")
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Int(); got != 2 {
+			t.Fatalf("%s: stock = %d, want the pre-outage write 2", r.Name(), got)
+		}
+	}
+}
+
+// gatedOrderer shares an orderer's total order but holds each delivery to
+// its subscriber while gate is locked: the subscribing replica lags by
+// exactly the events ordered meanwhile.
+type gatedOrderer struct {
+	Orderer
+	gate *sync.Mutex
+}
+
+func (g gatedOrderer) Subscribe() <-chan Ordered {
+	in := g.Orderer.Subscribe()
+	out := make(chan Ordered)
+	go func() {
+		defer close(out)
+		for o := range in {
+			g.gate.Lock()
+			g.gate.Unlock()
+			out <- o
+		}
+	}()
+	return out
+}
+
+// TestMMNewSessionWaitsForLaggingHome: a session opened after another
+// connection's DDL committed may be homed on a replica that has not applied
+// it yet. Its first write must wait for the home to catch up instead of
+// failing with "unknown database" or "unknown table".
+func TestMMNewSessionWaitsForLaggingHome(t *testing.T) {
+	reps := newReplicas(t, 2, ReplicaConfig{})
+	ord := NewLocalOrderer()
+	t.Cleanup(ord.Close)
+	var gate sync.Mutex
+	mm, err := NewMultiMaster(reps, []Orderer{ord, gatedOrderer{ord, &gate}}, MultiMasterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mm.Close)
+	ddl, err := mm.NewSession("ddl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ddl.Close()
+	ddl.home = reps[0]
+	gate.Lock()
+	time.AfterFunc(200*time.Millisecond, gate.Unlock)
+	mustExecC(t, ddl.Exec, "CREATE DATABASE shop")
+	mustExecC(t, ddl.Exec, "USE shop")
+	mustExecC(t, ddl.Exec, "CREATE TABLE fresh (id INT PRIMARY KEY, v INT)")
+	late, err := mm.NewSession("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	late.home = reps[1]
+	mustExecC(t, late.Exec, "USE shop")
+	if _, err := late.Exec("INSERT INTO fresh (id, v) VALUES (1, 1)"); err != nil {
+		t.Fatalf("first write on a lagging home: %v", err)
+	}
+	waitMMCaughtUp(t, mm)
+	checkConverged(t, mm.Replicas(), "shop")
 }
 
 func TestMMStatementTotalOrderAcrossReplicas(t *testing.T) {

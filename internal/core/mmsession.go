@@ -32,7 +32,12 @@ type MMSession struct {
 	// Mirrors MSSession.lastReadSeq — lastWriteSeq alone gives
 	// read-your-writes but lets a re-routed read go backward.
 	lastReadSeq uint64
-	pinnedRead  *Replica
+	// openSeq is the cluster's ordered head when the session opened. The
+	// home must reach it before the session's first transaction, at every
+	// consistency level: DML executes there, and a home still missing
+	// DDL another connection committed would fail it with "unknown table".
+	openSeq    uint64
+	pinnedRead *Replica
 	// cons is the session's read guarantee; it defaults to the cluster
 	// configuration and can be overridden per session (SET CONSISTENCY).
 	cons Consistency
@@ -60,6 +65,7 @@ func (mm *MultiMaster) NewSession(user string) (*MMSession, error) {
 	}
 	return &MMSession{
 		mm: mm, pool: newSessionPool(user), user: user, home: home,
+		openSeq:      mm.head.Load(),
 		cons:         mm.cfg.Consistency,
 		stmtTimeout:  mm.cfg.StatementTimeout,
 		serializable: home.Engine().Profile().DefaultIsolation == engine.Serializable,
@@ -211,6 +217,16 @@ func (s *MMSession) begin() (*engine.Result, error) {
 		// retry on a fresh one (homed on a healthy replica).
 		return nil, ErrReplicaDown
 	}
+	// Session/strong guarantees extend into explicit transactions, but the
+	// dry run's snapshot is taken on the home engine with no routing in
+	// between — so the home must first catch up to the session's floors
+	// (own writes + previously observed state). Without this wait a
+	// version the session just observed through a routed read can vanish
+	// inside the next BEGIN: a monotonic-reads anomaly. It precedes the
+	// home session's creation, whose USE needs the session's database.
+	if err := s.waitHomeFloor(); err != nil {
+		return nil, err
+	}
 	sess, err := s.pool.get(s.home)
 	if err != nil {
 		return nil, err
@@ -219,15 +235,6 @@ func (s *MMSession) begin() (*engine.Result, error) {
 		if _, err := sess.Exec("SET ISOLATION LEVEL SNAPSHOT"); err != nil {
 			return nil, err
 		}
-	}
-	// Session/strong guarantees extend into explicit transactions, but the
-	// dry run's snapshot is taken on the home engine with no routing in
-	// between — so the home must first catch up to the session's floors
-	// (own writes + previously observed state). Without this wait a
-	// version the session just observed through a routed read can vanish
-	// inside the next BEGIN: a monotonic-reads anomaly.
-	if err := s.waitHomeFloor(); err != nil {
-		return nil, err
 	}
 	// {BEGIN, sample} under snapMu pins snapSeq to exactly the snapshot's
 	// position: nothing past it is in the snapshot (certification stays
@@ -366,18 +373,17 @@ func (s *MMSession) bumpReadSeq(pos uint64) {
 }
 
 // waitHomeFloor blocks until the home replica's applied position reaches
-// the freshness floor the session's consistency level demands of a BEGIN,
-// bounded by the commit timeout (a lagging or partitioned home fails the
-// BEGIN so pooled drivers retry on a fresh connection).
+// the session's open position and the freshness floor its consistency
+// level demands of a BEGIN, bounded by the commit timeout (a lagging or
+// partitioned home fails the BEGIN so pooled drivers retry on a fresh
+// connection).
 func (s *MMSession) waitHomeFloor() error {
-	var floor uint64
+	floor := s.openSeq
 	switch s.cons {
 	case StrongConsistent:
 		floor = s.mm.head.Load()
 	case SessionConsistent:
-		floor = s.readFloor()
-	default:
-		return nil
+		floor = max(floor, s.readFloor())
 	}
 	if s.home.AppliedSeq() >= floor {
 		return nil

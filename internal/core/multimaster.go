@@ -242,7 +242,7 @@ func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, s
 					mm.qc.InvalidateTables(txn.WS.Tables(), ord.Seq)
 				} else {
 					mm.qc.ApplyEvent(engine.Event{
-						Seq: ord.Seq, Stmts: []string{txn.DDL}, DDL: true, Database: txn.Database,
+						Seq: ord.Seq, Stmts: []string{txn.DDL}, Database: txn.Database,
 					})
 				}
 			}

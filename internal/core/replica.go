@@ -1,8 +1,8 @@
 // Package core is the replication middleware itself: the software layer
 // between applications and database replicas (§1, footnote 1). It provides
 // master-slave replication with 1-safe/2-safe commit, hot standby failover,
-// multi-master replication in both statement-based and certification
-// (write-set) modes on top of totally-ordered broadcast, partitioned
+// certification multi-master replication (write sets for DML, ordered
+// statements for DDL) on top of totally-ordered broadcast, partitioned
 // replication, WAN multi-way master/slave, pluggable load balancing levels
 // and policies, a Sequoia-style recovery log with online replica
 // provisioning, cluster-consistent backup, and a divergence detector.

@@ -6,8 +6,8 @@ import "testing"
 //
 //  1. Parse never panics (errors are fine);
 //  2. a successfully parsed statement renders to SQL that parses again
-//     (the renderer feeds statement-based replication, so an unparseable
-//     render would break every slave);
+//     (replicas replay rendered statement text, so an unparseable render
+//     would break every slave);
 //  3. the render is a fixed point: render(parse(render(st))) == render(st);
 //  4. ParseCached agrees with Parse.
 //

@@ -110,8 +110,8 @@ func (s *Server) openConns() int {
 func TestMaxConnsSilentPeerTimesOut(t *testing.T) {
 	saved := helloTimeout
 	helloTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { helloTimeout = saved })
 	srv, err := NewServer("127.0.0.1:0", &EngineBackend{Engine: engine.New(engine.Config{})}, WithMaxConns(1))
-	helloTimeout = saved
 	if err != nil {
 		t.Fatal(err)
 	}

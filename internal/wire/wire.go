@@ -169,10 +169,9 @@ type Backend interface {
 
 // Server accepts wire connections and dispatches them to a Backend.
 type Server struct {
-	backend      Backend
-	ln           net.Listener
-	maxConns     int
-	helloTimeout time.Duration
+	backend  Backend
+	ln       net.Listener
+	maxConns int
 
 	mu       sync.Mutex
 	conns    map[net.Conn]bool
@@ -195,7 +194,6 @@ func WithMaxConns(n int) ServerOption {
 // helloTimeout bounds how long a new connection may take to send its hello
 // (and, for a refused one, its first frame): a peer that connects and stays
 // silent must not hold a serving goroutine and a -max-conns slot forever.
-// A server samples it once, at NewServer.
 var helloTimeout = 2 * time.Second
 
 // NewServer starts a server on addr ("127.0.0.1:0" picks a free port).
@@ -204,7 +202,7 @@ func NewServer(addr string, backend Backend, opts ...ServerOption) (*Server, err
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{backend: backend, ln: ln, helloTimeout: helloTimeout, conns: make(map[net.Conn]bool)}
+	s := &Server{backend: backend, ln: ln, conns: make(map[net.Conn]bool)}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -246,6 +244,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
+		_ = conn.SetDeadline(time.Now().Add(helloTimeout))
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -255,7 +254,7 @@ func (s *Server) acceptLoop() {
 		if s.maxConns > 0 && len(s.conns) >= s.maxConns {
 			s.rejected++
 			s.mu.Unlock()
-			go rejectConn(conn, s.maxConns, s.helloTimeout)
+			go rejectConn(conn, s.maxConns)
 			continue
 		}
 		s.conns[conn] = true
@@ -277,10 +276,10 @@ func overloadedResp(limit int) *Response {
 // request, or a heartbeat's first ping) with a typed retryable overload
 // error, then hangs up. Reading the frame first matters: responding before
 // the client writes would race its send and could surface as a bare
-// connection reset instead of the typed error.
-func rejectConn(conn net.Conn, limit int, timeout time.Duration) {
+// connection reset instead of the typed error. The hello deadline the
+// accept loop set bounds both reads.
+func rejectConn(conn net.Conn, limit int) {
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
 	br := bufio.NewReader(conn)
 	if err := acceptHello(br, conn); err != nil {
 		return
@@ -407,7 +406,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	br := bufio.NewReader(conn)
-	_ = conn.SetDeadline(time.Now().Add(s.helloTimeout))
 	if err := acceptHello(br, conn); err != nil {
 		return
 	}

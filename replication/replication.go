@@ -10,8 +10,8 @@
 //     triggers, stored procedures and per-vendor behaviour profiles;
 //   - master-slave replication with 1-safe/2-safe commits, lag tracking,
 //     automatic failover/failback and Sequoia-style transparent failover;
-//   - multi-master replication over totally-ordered broadcast, in both
-//     statement-based and certification (write-set) modes;
+//   - certification multi-master replication over totally-ordered
+//     broadcast: certified write sets for DML, ordered statements for DDL;
 //   - partitioned (hash/range/list) and WAN multi-site deployments;
 //   - connection/transaction/query-level load balancing (round robin,
 //     LPRF, weighted);
@@ -323,3 +323,8 @@ func FiveNinesBudget() Duration { return metrics.FiveNinesBudget }
 // ErrNoQuorum returns the sentinel error writes receive in a minority
 // partition, for errors.Is checks.
 func ErrNoQuorum() error { return core.ErrNoQuorum }
+
+// ErrCertificationAbort returns the sentinel error a multi-master write
+// receives when certification aborts it (a concurrent transaction wrote
+// the same row first), for errors.Is checks; retry the transaction.
+func ErrCertificationAbort() error { return core.ErrCertificationAbort }

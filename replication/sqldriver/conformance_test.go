@@ -51,11 +51,6 @@ func topologies() []topology {
 			testutil.CreateDB(t, mm, "app")
 			reps := mm.Replicas()
 			chaos := func() {
-				// The survivor must hold the schema first: a transaction
-				// runs at its home replica, and a reconnect carries no
-				// session floor to wait for. This test exercises
-				// reconnect-on-failure, not a lagging home.
-				testutil.WaitConverged(t, reps, "app")
 				// Kill two of three replicas. Any pooled connection homed
 				// on a dead one becomes useless for writes; the pool must
 				// absorb that via ErrBadConn + reconnect, invisibly to
