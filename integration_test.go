@@ -203,9 +203,7 @@ func TestEndToEndReplicaLifecycle(t *testing.T) {
 	if err := fresh.Engine().Restore(backup); err != nil {
 		t.Fatal(err)
 	}
-	res, err := prov.Resync(fresh, checkpoint, replication.ResyncOptions{
-		Parallel: true, BatchWait: 10 * time.Millisecond,
-	}, 30*time.Second)
+	res, err := prov.Resync(fresh, checkpoint, replication.ResyncOptions{BatchWait: 10 * time.Millisecond}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

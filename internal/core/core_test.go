@@ -984,7 +984,7 @@ func TestWANRetriesLockTimeout(t *testing.T) {
 
 // ---- provisioner ----
 
-func TestProvisionerResyncSerialAndParallel(t *testing.T) {
+func TestProvisionerResync(t *testing.T) {
 	// Build a source cluster whose events flow into a recovery log.
 	ms, sess := newMSCluster(t, 0, MasterSlaveConfig{ReadFromMaster: true})
 	mustExecC(t, sess.Exec, "CREATE TABLE t2 (id INTEGER PRIMARY KEY, v INTEGER)")
@@ -999,39 +999,41 @@ func TestProvisionerResyncSerialAndParallel(t *testing.T) {
 		prov.RecordEvent(ev)
 	}
 
-	for _, parallel := range []bool{false, true} {
-		fresh := NewReplica(ReplicaConfig{Name: fmt.Sprintf("fresh-par=%v", parallel)})
-		res, err := prov.Resync(fresh, 0, ResyncOptions{Parallel: parallel, BatchWait: 10 * time.Millisecond}, 10*time.Second)
-		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
-		}
-		if !res.CaughtUp {
-			t.Fatalf("parallel=%v: did not catch up", parallel)
-		}
-		c1, err := ms.Master().Engine().TableChecksum("shop", "t2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := fresh.Engine().TableChecksum("shop", "t2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c1 != c2 {
-			t.Fatalf("parallel=%v: resync diverged", parallel)
-		}
+	fresh := NewReplica(ReplicaConfig{Name: "fresh"})
+	res, err := prov.Resync(fresh, 0, ResyncOptions{BatchWait: 10 * time.Millisecond}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.CaughtUp || res.Replayed != len(events) {
+		t.Fatalf("resync applied %d of %d entries (caught up %v)", res.Replayed, len(events), res.CaughtUp)
+	}
+	c1, err := ms.Master().Engine().TableChecksum("shop", "t2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := fresh.Engine().TableChecksum("shop", "t2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1 != c2 {
+		t.Fatal("resync diverged")
 	}
 }
 
 func TestProvisionerCheckpoints(t *testing.T) {
 	prov := NewProvisioner(newRecoveryLog())
-	prov.Log().Append([]string{"INSERT INTO t (v) VALUES (1)"}, []string{"d.t"}, false)
+	evs := committedEvents(t, "CREATE DATABASE d", "USE d", "CREATE TABLE t (v INTEGER)",
+		"INSERT INTO t (v) VALUES (1)", "INSERT INTO t (v) VALUES (2)")
+	for _, ev := range evs[:len(evs)-1] {
+		prov.RecordEvent(ev)
+	}
 	prov.CheckpointRemove("r2", prov.Log().Head())
-	prov.Log().Append([]string{"INSERT INTO t (v) VALUES (2)"}, []string{"d.t"}, false)
+	prov.RecordEvent(evs[len(evs)-1])
 	seq, ok := prov.Log().CheckpointSeq("remove:r2")
-	if !ok || seq != 1 {
+	if !ok || seq != uint64(len(evs)-1) {
 		t.Fatalf("checkpoint: %d, %v", seq, ok)
 	}
-	if got := len(prov.Log().ReadFrom(seq, 0)); got != 1 {
-		t.Fatalf("entries after checkpoint = %d", got)
+	if after, err := prov.Log().ReadFrom(seq, 0); err != nil || len(after) != 1 {
+		t.Fatalf("entries after checkpoint = %d, %v", len(after), err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/recoverylog"
 )
 
 // TestMasterSlaveDifferential is the write-set shipping gate: a seeded
@@ -74,6 +75,52 @@ func TestMultiMasterDifferential(t *testing.T) {
 				t.Fatal("no transaction committed")
 			}
 			t.Logf("%d commits, %d certification aborts (%d seen by the workload)", mm.Commits(), mm.Aborts(), w.aborts)
+		})
+	}
+}
+
+// TestRecoveryDifferential is the recovery-log gate: the same seeded
+// workload (less temp tables, as in the multi-master gate) runs on a
+// master-slave cluster whose binlog is recorded into a recovery log, with
+// one checkpoint backup taken halfway. Two fresh
+// replicas, whose generators and clocks disagree with the master's, are then
+// rebuilt from the log alone: one by applying the whole log from position
+// 0, one by ResyncAuto (checkpoint restore + tail). Each must end
+// byte-identical to the master, with its binlog aligned.
+func TestRecoveryDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			reps := diffReplicas(4, seed)
+			ms := NewMasterSlave(reps[0], reps[1:2], MasterSlaveConfig{})
+			t.Cleanup(ms.Close)
+			prov := NewProvisioner(recoverylog.New())
+			prov.Follow(reps[0], FollowOptions{})
+			t.Cleanup(prov.Unfollow)
+			w := newDiffWorkload(t, ms, seed, false)
+			w.run(150)
+			waitRecorded(t, prov, reps[0])
+			if _, err := prov.CheckpointBackup("mid", reps[0], FaithfulBackup); err != nil {
+				t.Fatal(err)
+			}
+			w.run(150)
+			waitCaughtUp(t, ms)
+			waitRecorded(t, prov, reps[0])
+
+			full, tail := reps[2], reps[3]
+			opts := ResyncOptions{BatchWait: 5 * time.Millisecond}
+			if _, err := prov.Resync(full, 0, opts, 30*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			res, err := prov.ResyncAuto(tail, opts, 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Cloned {
+				t.Fatalf("fresh replica did not restore the checkpoint: %+v", res)
+			}
+			rebuilt := []*Replica{reps[0], full, tail}
+			w.converged(rebuilt)
+			w.binlogsAligned(rebuilt)
 		})
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/recoverylog"
 )
 
 // errMonitorStopped aborts an in-flight rejoin resync when the monitor is
@@ -215,7 +215,7 @@ func (m *Monitor) rejoin(rep *Replica) {
 	// cluster never saw; build on a checkpoint instead of on it.
 	opts.ForceClone = true
 	userBefore := opts.BeforeApply
-	opts.BeforeApply = func(e recoverylog.Entry) error {
+	opts.BeforeApply = func(e engine.Event) error {
 		select {
 		case <-m.stop:
 			return errMonitorStopped

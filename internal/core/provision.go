@@ -13,8 +13,8 @@ import (
 // Provisioner implements the Sequoia-style online replica lifecycle of
 // §4.4.2 on top of a recovery log: checkpoint a replica out, back it up
 // without touching active replicas, initialize new replicas from the dump,
-// and resynchronize them by (serial or parallel) log replay until they
-// catch up with the live stream.
+// and resynchronize them by applying the logged events — through the same
+// path slaves use — until they catch up with the live stream.
 //
 // PR 4 makes the lifecycle durable and automatic: Follow records the
 // master's binlog into the (optionally disk-backed) log and takes periodic
@@ -60,19 +60,10 @@ var FaithfulBackup = engine.BackupOptions{
 }
 
 // RecordEvent appends a committed binlog event to the recovery log. Wire it
-// to the master's binlog subscription. The originating database travels as
-// a leading USE so entries are self-contained for replay on fresh sessions.
+// to the master's binlog subscription.
 func (p *Provisioner) RecordEvent(ev engine.Event) uint64 {
-	seq, _ := p.recordEvent(ev)
+	seq, _ := p.log.Append(ev)
 	return seq
-}
-
-func (p *Provisioner) recordEvent(ev engine.Event) (uint64, error) {
-	stmts := ev.Stmts
-	if ev.Database != "" {
-		stmts = append([]string{"USE " + ev.Database}, stmts...)
-	}
-	return p.log.AppendEntry(stmts, ev.Tables(), ev.DDL)
 }
 
 // CheckpointRemove marks a replica's departure position ("when a node is
@@ -218,7 +209,7 @@ func (p *Provisioner) copyBatchLocked(rep *Replica) (int, error) {
 		return 0, err
 	}
 	for _, ev := range events {
-		seq, err := p.recordEvent(ev)
+		seq, err := p.log.Append(ev)
 		if err != nil {
 			err = fmt.Errorf("core: recorder: %w", err)
 			p.setRecErr(err)
@@ -361,18 +352,13 @@ func (p *Provisioner) FailoverTo(newMaster *Replica) error {
 
 // ResyncOptions controls replica resynchronization.
 type ResyncOptions struct {
-	// Parallel extracts parallelism from the log via table-conflict
-	// scheduling; serial replay is the default (and the §4.4.2 problem).
-	Parallel bool
-	// Workers bounds parallel replay concurrency; zero means 8.
-	Workers int
 	// BatchWait is how long to wait for new log entries before declaring
 	// the replica caught up; zero means 50 ms.
 	BatchWait time.Duration
 	// BeforeApply, when non-nil, runs before each entry is applied; an
 	// error aborts the resync at that entry. Operators use it for
 	// throttling, tests for fault injection.
-	BeforeApply func(recoverylog.Entry) error
+	BeforeApply func(engine.Event) error
 	// ForceClone makes ResyncAuto restore a checkpoint backup even when
 	// tail replay from the replica's position would be possible. Rejoining
 	// a failed old master uses it: the replica's state contains a diverged
@@ -394,59 +380,40 @@ type ResyncResult struct {
 	FinalHead     uint64
 }
 
-// Resync replays the recovery log into a replica from the given position
-// until it reaches the (moving) head. It returns when the replica has
-// caught up — or reports CaughtUp=false if MaxDuration elapsed first.
-// Replaying from below the compaction horizon fails with
-// recoverylog.ErrCompacted; use ResyncAuto to fall back to a checkpoint
-// clone automatically.
+// replayRun bounds how many logged events Resync applies at once.
+const replayRun = 64
+
+// Resync applies the recovery log to a replica from the given position
+// until it reaches the (moving) head, in runs of events applied the way a
+// slave applies the master's stream: DDL by its statement, everything else
+// from its write set. It returns when the replica has caught up — or
+// reports CaughtUp=false if MaxDuration elapsed first. Replaying from below
+// the compaction horizon fails with recoverylog.ErrCompacted; use
+// ResyncAuto to fall back to a checkpoint clone automatically.
 func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxDuration time.Duration) (*ResyncResult, error) {
-	if opts.Workers <= 0 {
-		opts.Workers = 8
-	}
 	if opts.BatchWait == 0 {
 		opts.BatchWait = 50 * time.Millisecond
 	}
+	// Pin the replay position for the duration of the resync, before the
+	// horizon is checked: a concurrent Compact must never drop entries out
+	// from under an in-flight replay (registration alone has checkpoint
+	// granularity and cannot protect a replica replaying from below every
+	// checkpoint). The registration keeps the replica's checkpoint retained
+	// for later resyncs.
+	p.log.PinReplay(rep.Name(), from)
+	defer p.log.Unpin(rep.Name())
 	if c := p.log.CompactedThrough(); from < c {
 		return nil, fmt.Errorf("%w: resync of %s from %d, compacted through %d (use ResyncAuto)",
 			recoverylog.ErrCompacted, rep.Name(), from, c)
 	}
+	p.log.Register(rep.Name(), from)
 	session := rep.Engine().NewSession("resync")
 	defer session.Close()
-
-	apply := func(e recoverylog.Entry) error {
-		if opts.BeforeApply != nil {
-			if err := opts.BeforeApply(e); err != nil {
-				return err
-			}
-		}
-		return applyLogEntry(session, e)
-	}
-	applyParallel := func(e recoverylog.Entry) error {
-		// Parallel replay needs its own session per call; sessions are
-		// not concurrency-safe.
-		if opts.BeforeApply != nil {
-			if err := opts.BeforeApply(e); err != nil {
-				return err
-			}
-		}
-		s := rep.Engine().NewSession("resync")
-		defer s.Close()
-		return applyLogEntry(s, e)
-	}
 
 	start := time.Now()
 	pos := from
 	total := 0
 	deadline := start.Add(maxDuration)
-	// Pin the replay position for the duration of the resync: a concurrent
-	// Compact must never drop entries out from under an in-flight replay
-	// (registration alone has checkpoint granularity and cannot protect a
-	// replica replaying from below every checkpoint). The registration
-	// keeps the replica's checkpoint retained for later resyncs.
-	p.log.PinReplay(rep.Name(), pos)
-	defer p.log.Unpin(rep.Name())
-	p.log.Register(rep.Name(), pos)
 	for {
 		head := p.log.Head()
 		if pos >= head {
@@ -462,26 +429,21 @@ func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxD
 			}
 			continue
 		}
-		var n int
-		var err error
-		if opts.Parallel {
-			n, err = p.log.ReplayParallel(pos, head, opts.Workers, applyParallel)
-		} else {
-			n, err = p.log.ReplaySerial(pos, head, apply)
+		evs, err := p.log.ReadFrom(pos, replayRun)
+		if err != nil {
+			return nil, fmt.Errorf("core: resync of %s: %w", rep.Name(), err)
 		}
+		n, err := replayEvents(session, rep.Engine(), evs, opts.BeforeApply)
 		total += n
-		// Advance only by what actually applied (both replay modes return
-		// the contiguous applied prefix). The old code recorded pos = head
-		// before checking err, so a mid-stream replay failure marked the
-		// replica caught up through head and a resumed resync silently
-		// skipped every entry the failed pass never applied.
+		// Advance only by the contiguous applied prefix, so a resumed
+		// resync never skips an entry a failed run did not apply.
 		pos += uint64(n)
 		rep.appliedSeq.Store(pos)
 		rep.receivedSeq.Store(pos)
 		p.log.PinReplay(rep.Name(), pos)
 		p.log.Register(rep.Name(), pos)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: resync of %s at entry %d: %w", rep.Name(), pos+1, err)
 		}
 		if maxDuration > 0 && time.Now().After(deadline) {
 			return &ResyncResult{
@@ -490,6 +452,33 @@ func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxD
 			}, nil
 		}
 	}
+}
+
+// replayEvents applies a run of logged events the way a slave applies the
+// master's stream. Each event is checked and passed to before (when
+// non-nil) first, and the run is cut at the first one refused. An event
+// without a write set is refused: every binlog event carries one (a DDL
+// event's is empty), so it is statement text from a log written before
+// entries held write sets. It returns how many events were applied and the
+// first error, of either kind.
+func replayEvents(s *engine.Session, eng *engine.Engine, evs []engine.Event, before func(engine.Event) error) (int, error) {
+	var refused error
+	for i := range evs {
+		if evs[i].WriteSet == nil {
+			refused = fmt.Errorf("event %d: %w", evs[i].Seq, engine.ErrNoWriteSet)
+		} else if before != nil {
+			refused = before(evs[i])
+		}
+		if refused != nil {
+			evs = evs[:i]
+			break
+		}
+	}
+	n, err := applyEvents(s, eng, evs)
+	if err == nil {
+		err = refused
+	}
+	return n, err
 }
 
 // ResyncAuto resynchronizes a replica choosing the cheapest sound plan:
@@ -507,19 +496,17 @@ func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxD
 // checkpoint exists — the §4.4.2 catch-up-time fix.
 func (p *Provisioner) ResyncAuto(rep *Replica, opts ResyncOptions, maxDuration time.Duration) (*ResyncResult, error) {
 	pos := rep.AppliedSeq()
+	// Pin before reading the horizon, so the tail the plan relies on
+	// cannot be compacted away before Resync runs.
+	p.log.PinReplay(rep.Name(), pos)
+	defer p.log.Unpin(rep.Name())
 	compacted := p.log.CompactedThrough()
 	_, _, haveCkpt := p.log.LatestCheckpoint()
-
 	clone := opts.ForceClone || pos < compacted || (pos == 0 && haveCkpt)
 	var ckptName string
 	var ckptSeq uint64
 	if clone {
-		name, seq, ok := p.log.NearestCheckpoint(pos)
-		if !ok || seq < compacted {
-			// No usable checkpoint at or below the replica's position (or it
-			// can no longer be tail-replayed forward): clone the latest.
-			name, seq, ok = p.log.LatestCheckpoint()
-		}
+		name, seq, ok := p.pinCheckpoint(rep.Name(), pos)
 		if !ok {
 			if pos < compacted || opts.ForceClone {
 				return nil, fmt.Errorf("core: resync of %s needs a checkpoint backup and none exists", rep.Name())
@@ -558,39 +545,25 @@ func (p *Provisioner) ResyncAuto(rep *Replica, opts ResyncOptions, maxDuration t
 	return res, nil
 }
 
-// applyLogEntry executes one recovery log entry on a session. Multi-
-// statement entries re-execute as one transaction, keeping replayed
-// positions aligned with the original commit stream.
-func applyLogEntry(s *engine.Session, e recoverylog.Entry) error {
-	stmts := e.Stmts
-	if len(stmts) > 1 && !e.DDL {
-		if _, err := s.Exec("BEGIN"); err != nil {
-			return err
+// pinCheckpoint picks the clone base for a replica at pos — the newest
+// payload checkpoint at or below pos that the retained log continues, else
+// the latest — and pins a replay at its position. The recorder may
+// checkpoint and compact between the pick and the pin, dropping the tail
+// after the pick, so the horizon is checked again once the pin holds and
+// the pick is made again when it moved past.
+func (p *Provisioner) pinCheckpoint(replica string, pos uint64) (string, uint64, bool) {
+	for {
+		compacted := p.log.CompactedThrough()
+		name, seq, ok := p.log.NearestCheckpoint(pos)
+		if !ok || seq < compacted {
+			name, seq, ok = p.log.LatestCheckpoint()
 		}
-		for _, sql := range stmts {
-			if _, err := s.Exec(sql); err != nil {
-				s.Rollback()
-				return err
-			}
+		if !ok {
+			return "", 0, false
 		}
-		_, err := s.Exec("COMMIT")
-		return err
-	}
-	for _, sql := range stmts {
-		if _, err := s.Exec(sql); err != nil {
-			return err
+		p.log.PinReplay(replica, seq)
+		if seq >= p.log.CompactedThrough() {
+			return name, seq, true
 		}
 	}
-	return nil
-}
-
-// CloneFromBackup initializes a fresh replica from a backup of a
-// checkpointed replica (the "offline nodes that have been properly
-// checkpointed can also be backed up; the resulting dump can initialize new
-// replicas without using resources of active replicas" flow, §4.4.2).
-func CloneFromBackup(b *engine.Backup, rep *Replica) error {
-	if err := rep.Engine().Restore(b); err != nil {
-		return fmt.Errorf("core: clone: %w", err)
-	}
-	return nil
 }

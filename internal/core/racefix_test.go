@@ -7,36 +7,34 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/recoverylog"
 )
 
 // ---- Provisioner.Resync error path ----
 
-// TestResyncFailureDoesNotSkipEntries is the regression test for the resync
-// bookkeeping bug: the old code recorded pos = head (and stored it as the
-// replica's applied position) before checking the replay error, so a
-// mid-stream failure marked the replica caught up through head and a
-// resumed resync silently skipped every entry the failed pass never
-// applied. The fix advances only by the contiguous applied prefix.
+// TestResyncFailureDoesNotSkipEntries: a resync that fails mid-stream
+// records only the contiguous applied prefix as the replica's position, so
+// a resumed resync applies every entry the failed one did not.
 func TestResyncFailureDoesNotSkipEntries(t *testing.T) {
 	log := recoverylog.New()
 	prov := NewProvisioner(log)
-	log.Append([]string{"CREATE DATABASE shop"}, nil, true)
-	log.Append([]string{"USE shop", "CREATE TABLE items (id INTEGER PRIMARY KEY, name TEXT)"}, nil, true)
 	const rows = 20
+	sqls := []string{"CREATE DATABASE shop", "USE shop", "CREATE TABLE items (id INTEGER PRIMARY KEY, name TEXT)"}
 	for i := 1; i <= rows; i++ {
-		log.Append(
-			[]string{"USE shop", fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'n%d')", i, i)},
-			[]string{"shop.items"}, false)
+		sqls = append(sqls, fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'n%d')", i, i))
+	}
+	for _, ev := range committedEvents(t, sqls...) {
+		prov.RecordEvent(ev)
 	}
 
 	rep := NewReplica(ReplicaConfig{Name: "fresh"})
 	// Fail transiently at one mid-stream entry (a replica hiccup, not a
-	// poisoned statement: the retry must succeed).
+	// poisoned event: the retry must succeed).
 	failAt := uint64(12)
 	injected := errors.New("transient apply failure")
 	tripped := false
-	opts := ResyncOptions{BeforeApply: func(e recoverylog.Entry) error {
+	opts := ResyncOptions{BeforeApply: func(e engine.Event) error {
 		if e.Seq == failAt && !tripped {
 			tripped = true
 			return injected
@@ -52,8 +50,8 @@ func TestResyncFailureDoesNotSkipEntries(t *testing.T) {
 		t.Fatalf("failed resync recorded applied=%d, want %d (the contiguous applied prefix)", got, failAt-1)
 	}
 
-	// Resume from the recorded position: with the bug, this skipped
-	// entries 12..22 and the table ended up short.
+	// Resume from the recorded position: recording the head instead would
+	// skip entries 12..22 and leave the table short.
 	res, err := prov.Resync(rep, rep.AppliedSeq(), opts, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -67,80 +65,6 @@ func TestResyncFailureDoesNotSkipEntries(t *testing.T) {
 	}
 	if n != rows {
 		t.Fatalf("resumed resync left %d rows, want %d (entries skipped)", n, rows)
-	}
-}
-
-// TestResyncParallelFailureResumes: the parallel replay path reports its
-// contiguous applied prefix too, so a resumed parallel resync never skips
-// an entry. (Entries beyond the prefix may re-apply on resume — the
-// documented re-execution exposure — so this test replays idempotent
-// updates, the class of entry for which resumption is exact.)
-func TestResyncParallelFailureResumes(t *testing.T) {
-	log := recoverylog.New()
-	prov := NewProvisioner(log)
-	log.Append([]string{"CREATE DATABASE shop"}, nil, true)
-	// Entries on distinct tables replay in parallel (per-table conflict
-	// tags, as Provisioner.RecordEvent produces); two updates per table
-	// keep per-table order observable and make re-application idempotent.
-	const tables = 8
-	for i := 0; i < tables; i++ {
-		log.Append([]string{"USE shop",
-			fmt.Sprintf("CREATE TABLE t%d (id INTEGER PRIMARY KEY, name TEXT)", i)}, nil, true)
-	}
-	seedHead := log.Head()
-	// Unknown-footprint entries are replay barriers: every INSERT completes
-	// before the parallel UPDATE phase starts, so only idempotent entries
-	// can ever re-apply when the resumed resync revisits the failed range.
-	for i := 0; i < tables; i++ {
-		log.Append([]string{"USE shop", fmt.Sprintf("INSERT INTO t%d (id, name) VALUES (1, 'raw')", i)},
-			nil, false)
-	}
-	for i := 0; i < tables; i++ {
-		log.Append([]string{"USE shop", fmt.Sprintf("UPDATE t%d SET name = 'done' WHERE id = 1", i)},
-			[]string{fmt.Sprintf("shop.t%d", i)}, false)
-	}
-	failAt := seedHead + tables + 3 // one of the UPDATE entries
-
-	rep := NewReplica(ReplicaConfig{Name: "fresh"})
-	injected := errors.New("transient apply failure")
-	var mu sync.Mutex
-	tripped := false
-	opts := ResyncOptions{Parallel: true, Workers: 4, BeforeApply: func(e recoverylog.Entry) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if e.Seq == failAt && !tripped {
-			tripped = true
-			return injected
-		}
-		return nil
-	}}
-
-	if _, err := prov.Resync(rep, 0, opts, time.Second); !errors.Is(err, injected) {
-		t.Fatalf("expected injected failure, got %v", err)
-	}
-	if got := rep.AppliedSeq(); got >= failAt {
-		t.Fatalf("failed parallel resync recorded applied=%d, at or beyond the failed entry %d", got, failAt)
-	}
-	res, err := prov.Resync(rep, rep.AppliedSeq(), opts, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CaughtUp {
-		t.Fatalf("resumed resync did not catch up: %+v", res)
-	}
-	sess := rep.Engine().NewSession("check")
-	defer sess.Close()
-	if _, err := sess.Exec("USE shop"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tables; i++ {
-		got, err := sess.Exec(fmt.Sprintf("SELECT name FROM t%d WHERE id = 1", i))
-		if err != nil {
-			t.Fatalf("t%d: %v (entry skipped)", i, err)
-		}
-		if len(got.Rows) != 1 || got.Rows[0][0].Str() != "done" {
-			t.Fatalf("t%d = %v, want 'done' (entries skipped)", i, got.Rows)
-		}
 	}
 }
 

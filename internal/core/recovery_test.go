@@ -1,11 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/recoverylog"
 )
 
@@ -156,7 +163,7 @@ func TestResyncAutoResumesAfterFailureDuringRecovery(t *testing.T) {
 	fresh := NewReplica(ReplicaConfig{Name: "fresh"})
 	crashAt := ckptSeq + 7
 	injected := errors.New("injected crash during recovery")
-	opts := ResyncOptions{BatchWait: 5 * time.Millisecond, BeforeApply: func(e recoverylog.Entry) error {
+	opts := ResyncOptions{BatchWait: 5 * time.Millisecond, BeforeApply: func(e engine.Event) error {
 		if e.Seq == crashAt {
 			return injected
 		}
@@ -354,9 +361,8 @@ func TestFailoverToTruncatesLostSuffix(t *testing.T) {
 // TestFailoverFromLaggingRecorderKeepsAckedCommits: the recorder lags the
 // slaves when the master dies, and the master's binlog dies with it, so
 // after FailoverTo the log catches up from the promoted slave's own binlog.
-// Those events must carry the master's statements and database, or their
-// entries replay as nothing and a restart from disk drops acknowledged
-// commits.
+// Those events must carry the master's write sets, or their entries apply
+// as nothing and a restart from disk drops acknowledged commits.
 func TestFailoverFromLaggingRecorderKeepsAckedCommits(t *testing.T) {
 	dir := t.TempDir()
 	rlog, err := recoverylog.Open(dir, recoverylog.Options{})
@@ -419,5 +425,58 @@ func TestFailoverFromLaggingRecorderKeepsAckedCommits(t *testing.T) {
 	}
 	if n := res.Rows[0][0].Int(); n != 20 {
 		t.Fatalf("restored %d rows, want 20", n)
+	}
+}
+
+// TestResyncRefusesTextOnlyEntries: a recovery log written before entries
+// held write sets records statement text alone, and re-running that text is
+// what diverges. Such a log still opens, but recovery refuses its first
+// entry with engine.ErrNoWriteSet and applies nothing.
+func TestResyncRefusesTextOnlyEntries(t *testing.T) {
+	// The earlier record format: gob of {Seq, Stmts, Tables, DDL}, framed by
+	// a little-endian length and CRC-32 of the payload.
+	type textEntry struct {
+		Seq    uint64
+		Stmts  []string
+		Tables []string
+		DDL    bool
+	}
+	var seg bytes.Buffer
+	for _, e := range []textEntry{
+		{Seq: 1, Stmts: []string{"CREATE DATABASE shop"}, DDL: true},
+		{Seq: 2, Stmts: []string{"USE shop", "CREATE TABLE p (id INTEGER PRIMARY KEY, price FLOAT)"}, DDL: true},
+		{Seq: 3, Stmts: []string{"USE shop", "INSERT INTO p (id, price) VALUES (1, RAND())"}, Tables: []string{"shop.p"}},
+	} {
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(e); err != nil {
+			t.Fatal(err)
+		}
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload.Bytes()))
+		seg.Write(hdr[:])
+		seg.Write(payload.Bytes())
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.wal"), seg.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rlog, err := recoverylog.Open(dir, recoverylog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rlog.Close()
+	if rlog.Head() != 3 {
+		t.Fatalf("opened log head = %d, want 3", rlog.Head())
+	}
+
+	rep := NewReplica(ReplicaConfig{Name: "restored"})
+	_, err = NewProvisioner(rlog).ResyncAuto(rep, ResyncOptions{BatchWait: 5 * time.Millisecond}, time.Second)
+	if !errors.Is(err, engine.ErrNoWriteSet) {
+		t.Fatalf("resync of a text-only log: err = %v, want engine.ErrNoWriteSet", err)
+	}
+	if rep.AppliedSeq() != 0 || rep.Engine().Binlog().Head() != 0 {
+		t.Fatalf("refused resync applied through %d (binlog head %d), want nothing",
+			rep.AppliedSeq(), rep.Engine().Binlog().Head())
 	}
 }

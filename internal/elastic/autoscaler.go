@@ -219,7 +219,7 @@ func (a *Autoscaler) scaleUp() error {
 	}
 	var from uint64
 	if p := a.cfg.Provisioner; p != nil {
-		res, err := p.ResyncAuto(rep, core.ResyncOptions{Parallel: true}, a.cfg.ResyncMaxDuration)
+		res, err := p.ResyncAuto(rep, core.ResyncOptions{}, a.cfg.ResyncMaxDuration)
 		if err != nil {
 			return fmt.Errorf("elastic: resync spare %s: %w", rep.Name(), err)
 		}
@@ -229,8 +229,8 @@ func (a *Autoscaler) scaleUp() error {
 		if err != nil {
 			return fmt.Errorf("elastic: snapshot for spare %s: %w", rep.Name(), err)
 		}
-		if err := core.CloneFromBackup(b, rep); err != nil {
-			return err
+		if err := rep.Engine().Restore(b); err != nil {
+			return fmt.Errorf("elastic: clone spare %s: %w", rep.Name(), err)
 		}
 		rep.Engine().Binlog().Reset(b.AtSeq)
 		from = b.AtSeq

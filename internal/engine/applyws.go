@@ -1,10 +1,17 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sqltypes"
 )
+
+// ErrNoWriteSet is ApplyEvents' refusal of an event without a write set:
+// DDL, which the caller must execute, or statement text alone, such as an
+// entry of a recovery log written before entries held write sets. Re-running
+// such text is not deterministic, so it is never applied.
+var ErrNoWriteSet = errors.New("engine: event carries no write set")
 
 // ApplyOptions tunes write-set application on a replica.
 type ApplyOptions struct {
@@ -68,7 +75,7 @@ func (e *Engine) ApplyEvents(evs []Event, opts ApplyOptions) (int, error) {
 	defer e.mu.Unlock()
 	for i := range evs {
 		if evs[i].DDL || evs[i].WriteSet == nil {
-			return i, fmt.Errorf("engine: apply: event %d carries no write set", evs[i].Seq)
+			return i, fmt.Errorf("engine: apply event %d: %w", evs[i].Seq, ErrNoWriteSet)
 		}
 		if err := e.applyWriteSetLocked(evs[i].WriteSet, opts, &evs[i]); err != nil {
 			return i, err

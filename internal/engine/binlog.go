@@ -5,10 +5,9 @@ import (
 )
 
 // Event is one committed transaction (or DDL statement) in the binlog: the
-// unit shipped by master-slave replication and consumed by the recovery log.
-// It carries both representations — the executed statements (statement-based
-// shipping) and the captured write set (transaction-based shipping) — so the
-// middleware can choose either mode (§4.3.2).
+// unit slaves apply and the recovery log records. A DDL event is applied by
+// executing its statement; every other event is applied from its write set,
+// and its statements are kept for the log's readers only (§4.3.2).
 type Event struct {
 	Seq      uint64 // position in the binlog, 1-based, dense
 	CommitTS uint64

@@ -683,6 +683,25 @@ func TestCommittedImagesAreImmutable(t *testing.T) {
 	}
 }
 
+// TestApplyEventsRefusesTextOnly: an event with statements but no write
+// set (a DDL event, or a text-only recovery-log entry) is refused with
+// ErrNoWriteSet, and nothing of it is applied.
+func TestApplyEventsRefusesTextOnly(t *testing.T) {
+	e, _ := newTestDB(t, Config{})
+	head := e.Binlog().Head()
+	for _, ev := range []Event{
+		{Seq: 1, Stmts: []string{"INSERT INTO items (id, name) VALUES (9, 'x')"}, Database: "shop"},
+		{Seq: 1, Stmts: []string{"CREATE TABLE more (id INT PRIMARY KEY)"}, Database: "shop", DDL: true, WriteSet: &WriteSet{}},
+	} {
+		if n, err := e.ApplyEvents([]Event{ev}, ApplyOptions{}); n != 0 || !errors.Is(err, ErrNoWriteSet) {
+			t.Fatalf("ApplyEvents(%q) = %d, %v; want 0, ErrNoWriteSet", ev.Stmts[0], n, err)
+		}
+	}
+	if e.Binlog().Head() != head {
+		t.Fatalf("refused events were applied: binlog head %d, want %d", e.Binlog().Head(), head)
+	}
+}
+
 func TestChecksumDivergenceOnRand(t *testing.T) {
 	// Two replicas executing the same UPDATE ... SET x = rand() diverge.
 	e1, s1 := newTestDB(t, Config{RandSeed: 1})

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/engine"
 )
 
 // Options tunes a disk-backed log opened with Open.
@@ -74,7 +76,7 @@ func segPath(dir string, first uint64) string {
 // entries, the compaction base, and the checkpoint set. A torn record at the
 // tail of the last segment is truncated away; corruption anywhere else is an
 // error.
-func openStore(dir string, opts Options) (*diskStore, []Entry, uint64, map[string]*checkpointRec, error) {
+func openStore(dir string, opts Options) (*diskStore, []engine.Event, uint64, map[string]*checkpointRec, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, nil, fmt.Errorf("recoverylog: open %s: %w", dir, err)
@@ -93,7 +95,7 @@ func openStore(dir string, opts Options) (*diskStore, []Entry, uint64, map[strin
 	sort.Strings(segFiles)
 
 	st := &diskStore{dir: dir, opts: opts}
-	var entries []Entry
+	var entries []engine.Event
 	var base uint64
 	baseSet := false
 	for i, name := range segFiles {
@@ -187,12 +189,12 @@ func parseSegName(name string) (uint64, error) {
 // readSegment decodes a segment file. It returns the entries decoded, the
 // byte offset of the end of the last good record, and an error when the file
 // ends in (or contains) a record that does not check out.
-func readSegment(path string) ([]Entry, int64, error) {
+func readSegment(path string) ([]engine.Event, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	var entries []Entry
+	var entries []engine.Event
 	var off int64
 	for int(off) < len(data) {
 		rest := data[off:]
@@ -208,7 +210,7 @@ func readSegment(path string) ([]Entry, int64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return entries, off, fmt.Errorf("checksum mismatch at offset %d", off)
 		}
-		var e Entry
+		var e engine.Event
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
 			return entries, off, fmt.Errorf("undecodable record at offset %d: %v", off, err)
 		}
@@ -218,7 +220,7 @@ func readSegment(path string) ([]Entry, int64, error) {
 	return entries, off, nil
 }
 
-func encodeRecord(e Entry) ([]byte, error) {
+func encodeRecord(e engine.Event) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
 		return nil, err
@@ -232,7 +234,7 @@ func encodeRecord(e Entry) ([]byte, error) {
 
 // appendEntry writes one entry, rotating segments as configured and
 // fsyncing every opts.FsyncEvery appends.
-func (st *diskStore) appendEntry(e Entry) error {
+func (st *diskStore) appendEntry(e engine.Event) error {
 	if st.active == nil || st.segs[len(st.segs)-1].count >= st.opts.SegmentEntries {
 		if err := st.rotate(e.Seq); err != nil {
 			return err
@@ -359,7 +361,7 @@ func (st *diskStore) compactBelow(floor uint64) (uint64, error) {
 // truncateTail rewrites storage so the log ends at `to`. retained is the
 // full in-memory entry set after truncation (authoritative); segments above
 // `to` are deleted and the one containing `to` is rewritten.
-func (st *diskStore) truncateTail(to uint64, retained []Entry) error {
+func (st *diskStore) truncateTail(to uint64, retained []engine.Event) error {
 	if st.active != nil {
 		_ = st.sync()
 		_ = st.active.Close()

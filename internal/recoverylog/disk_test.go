@@ -1,20 +1,17 @@
 package recoverylog
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 func appendN(t *testing.T, l *Log, from, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		id := from + i
-		if _, err := l.AppendEntry(
-			[]string{fmt.Sprintf("UPDATE t SET v = %d WHERE id = %d", id, id)},
-			[]string{"d.t"}, false); err != nil {
-			t.Fatalf("append %d: %v", id, err)
+		if _, err := l.Append(updateEvent(from + i)); err != nil {
+			t.Fatalf("append %d: %v", from+i, err)
 		}
 	}
 }
@@ -53,9 +50,15 @@ func TestDiskLogReloadsAcrossOpen(t *testing.T) {
 	if l2.Head() != 30 {
 		t.Fatalf("head after continued appends = %d, want 30", l2.Head())
 	}
-	entries := l2.ReadFrom(24, 0)
-	if len(entries) != 6 || entries[0].Seq != 25 || entries[5].Seq != 30 {
-		t.Fatalf("ReadFrom(24): %v", entries)
+	entries, err := l2.ReadFrom(24, 0)
+	if err != nil || len(entries) != 6 || entries[0].Seq != 25 || entries[5].Seq != 30 {
+		t.Fatalf("ReadFrom(24): %v %v", entries, err)
+	}
+	// A reloaded entry is the appended event, write set included.
+	want := updateEvent(25)
+	want.Seq = 25
+	if !reflect.DeepEqual(entries[0], want) {
+		t.Fatalf("entry 25 reloaded as %+v, want %+v", entries[0], want)
 	}
 }
 
@@ -160,9 +163,9 @@ func TestCompactionBoundsLogAndDisk(t *testing.T) {
 	if l.Head() != 95 {
 		t.Fatalf("head changed by compaction: %d", l.Head())
 	}
-	// Replay below the horizon must fail loudly, not silently skip.
-	if _, err := l.ReplaySerial(0, 95, func(Entry) error { return nil }); err == nil {
-		t.Fatal("replay below compaction horizon must error")
+	// Reading below the horizon must fail loudly, not silently skip.
+	if _, err := l.ReadFrom(0, 0); err == nil {
+		t.Fatal("read below compaction horizon must error")
 	}
 	// A registered replica below every checkpoint does not block compaction
 	// (it will clone the latest checkpoint), and the bound survives reload.
@@ -228,8 +231,8 @@ func TestCompactionRespectsReplayPins(t *testing.T) {
 	if got := l.CompactedThrough(); got != 40 {
 		t.Fatalf("compacted through %d with replay pinned at 40", got)
 	}
-	// Replay from the pinned position still works mid-compaction.
-	if _, err := l.ReplaySerial(40, 100, func(Entry) error { return nil }); err != nil {
+	// Reading from the pinned position still works mid-compaction.
+	if _, err := l.ReadFrom(40, 0); err != nil {
 		t.Fatal(err)
 	}
 	l.Unpin("resyncer")
@@ -275,7 +278,11 @@ func TestTruncateTailDropsLostSuffix(t *testing.T) {
 	if l2.Head() != 12 {
 		t.Fatalf("head after reload = %d, want 12", l2.Head())
 	}
-	for i, e := range l2.ReadFrom(0, 0) {
+	entries, err := l2.ReadFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
 		if e.Seq != uint64(i+1) {
 			t.Fatalf("entry %d has seq %d", i, e.Seq)
 		}

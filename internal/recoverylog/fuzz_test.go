@@ -20,7 +20,7 @@ func validSegments(t interface{ Fatal(...any) }) (first, second []byte) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		l.Append([]string{"UPDATE t SET v = 1"}, []string{"d.t"}, false)
+		l.Append(updateEvent(i))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func FuzzRecoveryLogReload(f *testing.F) {
 		l, err := Open(dir, Options{FsyncEvery: 1}) // must not panic
 		if err == nil {
 			head := l.Head()
-			l.Append([]string{"INSERT INTO t (id) VALUES (1)"}, []string{"d.t"}, false)
+			l.Append(updateEvent(1))
 			if got := l.Head(); got != head+1 {
 				t.Fatalf("append after heal: head %d -> %d", head, got)
 			}

@@ -1,19 +1,21 @@
 // Package recoverylog implements a Sequoia-style recovery log (§4.4.2): a
-// totally-ordered record of every update the cluster executed, with named
+// totally-ordered record of every update the cluster committed, with named
 // checkpoints. A removed replica is checkpointed at the last entry it
-// executed; re-adding it replays the log from that checkpoint. Replay can be
-// serial (the mode whose catch-up time the paper criticizes) or parallel
-// with table-conflict scheduling.
+// applied; re-adding it restores a checkpoint backup and applies the log
+// tail after it. Each entry is the master's committed binlog event —
+// statements, database, user, DDL flag and write set — so recovery applies
+// the same rows a slave applies instead of re-running SQL that may not be
+// deterministic (§4.3.2).
 //
-// The log runs in two modes. New() is purely in-memory (the seed behaviour,
-// still what unit tests and single-run benchmarks want). Open(dir, opts)
-// backs the same API with segmented on-disk storage: appends stream into
-// segment files with batched fsync, checkpoints persist with an optional
-// payload (an encoded engine backup), and a crash-interrupted append is
-// healed on reload by truncating the torn tail. In both modes the footprint
-// is bounded for the first time: Compact drops whole segments (and their
-// in-memory entries) below the oldest checkpoint still needed by any
-// registered replica.
+// The log runs in two modes. New() is purely in-memory (what unit tests and
+// single-run benchmarks want). Open(dir, opts) backs the same API with
+// segmented on-disk storage: appends stream into segment files with batched
+// fsync, checkpoints persist with an optional payload (an encoded engine
+// backup), and a crash-interrupted append is healed on reload by truncating
+// the torn tail. Records are decoded once, at Open; in memory the log holds
+// the events ready to apply. In both modes the footprint is bounded:
+// Compact drops whole segments (and their in-memory entries) below the
+// oldest checkpoint still needed by any registered replica.
 package recoverylog
 
 import (
@@ -21,16 +23,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-)
 
-// Entry is one logged update: the statements of a committed transaction (or
-// one DDL statement) plus the tables it touches, for conflict scheduling.
-type Entry struct {
-	Seq    uint64 // dense, 1-based
-	Stmts  []string
-	Tables []string // db-qualified; empty means "conflicts with everything"
-	DDL    bool
-}
+	"repro/internal/engine"
+)
 
 // checkpointRec is a named log position, optionally carrying the encoded
 // backup snapshot taken at that position (the clone base for replicas too
@@ -49,8 +44,8 @@ var ErrCompacted = errors.New("recoverylog: position below compaction horizon")
 // Log is a recovery log, in-memory or disk-backed. Safe for concurrent use.
 type Log struct {
 	mu          sync.Mutex
-	entries     []Entry // retained entries; entries[0].Seq == base+1
-	base        uint64  // entries at or below base were compacted away
+	entries     []engine.Event // retained entries; entries[0].Seq == base+1
+	base        uint64         // entries at or below base were compacted away
 	checkpoints map[string]*checkpointRec
 	replicas    map[string]uint64 // registered replica -> applied position
 	pins        map[string]uint64 // in-flight replays -> replay position
@@ -135,33 +130,28 @@ func (l *Log) Err() error {
 	return l.ioErr
 }
 
-// Append records an update and returns its sequence number. Storage errors
-// are sticky and reported by Err; callers that must not lose acknowledged
-// durability use AppendEntry.
-func (l *Log) Append(stmts []string, tables []string, ddl bool) uint64 {
-	seq, _ := l.AppendEntry(stmts, tables, ddl)
-	return seq
-}
-
-// AppendEntry records an update, returning its sequence number and any
-// storage error (the entry is always retained in memory).
-func (l *Log) AppendEntry(stmts []string, tables []string, ddl bool) (uint64, error) {
+// Append records a committed binlog event and returns its sequence number
+// (the event's Seq is set to it) and any storage error (the event is always
+// retained in memory). Logged events are shared, not copied: committed
+// events are immutable.
+func (l *Log) Append(ev engine.Event) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seq := l.base + uint64(len(l.entries)) + 1
-	e := Entry{
-		Seq:    seq,
-		Stmts:  append([]string(nil), stmts...),
-		Tables: append([]string(nil), tables...),
-		DDL:    ddl,
-	}
-	l.entries = append(l.entries, e)
+	ev.Seq = l.base + uint64(len(l.entries)) + 1
+	l.entries = append(l.entries, ev)
 	if l.store != nil {
-		if err := l.store.appendEntry(e); err != nil && l.ioErr == nil {
+		if err := l.store.appendEntry(ev); err != nil && l.ioErr == nil {
 			l.ioErr = err
 		}
 	}
-	return seq, l.ioErr
+	return ev.Seq, l.ioErr
+}
+
+// AppendEntry records statement text alone, with no write set, which
+// recovery refuses to apply (engine.ErrNoWriteSet). It remains for
+// measuring the append path; tables is unused.
+func (l *Log) AppendEntry(stmts []string, tables []string, ddl bool) (uint64, error) {
+	return l.Append(engine.Event{Stmts: append([]string(nil), stmts...), DDL: ddl})
 }
 
 // Head returns the last assigned sequence number (0 when empty).
@@ -394,7 +384,7 @@ func (l *Log) Compact() (int, error) {
 	if dropped > len(l.entries) {
 		dropped = len(l.entries)
 	}
-	l.entries = append([]Entry(nil), l.entries[dropped:]...)
+	l.entries = append([]engine.Event(nil), l.entries[dropped:]...)
 	l.base = floor
 	return dropped, nil
 }
@@ -413,7 +403,7 @@ func (l *Log) TruncateTail(to uint64) error {
 	if to < l.base {
 		return fmt.Errorf("%w: truncate to %d, compacted through %d", ErrCompacted, to, l.base)
 	}
-	l.entries = append([]Entry(nil), l.entries[:to-l.base]...)
+	l.entries = append([]engine.Event(nil), l.entries[:to-l.base]...)
 	changedCkpt := false
 	for name, c := range l.checkpoints {
 		if c.Seq > to {
@@ -470,155 +460,21 @@ func (l *Log) ResetTo(base uint64) error {
 	return nil
 }
 
-// ReadFrom returns entries with Seq > after, up to max (0 = all). Positions
-// below the compaction horizon return nothing; check CompactedThrough when
-// an expected backlog comes back empty.
-func (l *Log) ReadFrom(after uint64, max int) []Entry {
+// ReadFrom returns entries with Seq > after, up to max (0 = all). Reading
+// from below the compaction horizon fails with ErrCompacted.
+func (l *Log) ReadFrom(after uint64, max int) ([]engine.Event, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if after < l.base {
-		return nil
+		return nil, fmt.Errorf("%w: read from %d, compacted through %d", ErrCompacted, after, l.base)
 	}
 	idx := int(after - l.base)
 	if idx >= len(l.entries) {
-		return nil
+		return nil, nil
 	}
 	out := l.entries[idx:]
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
-	return append([]Entry(nil), out...)
-}
-
-// Apply is the callback replay uses to execute one entry on the recovering
-// replica.
-type Apply func(Entry) error
-
-// ReplaySerial replays entries (after, to] one at a time — the mode in
-// which "a new replica may never catch up if the workload is update-heavy".
-// It returns how many entries applied before stopping; on error that count
-// is the contiguous applied prefix, so after+n is the exact resume position.
-// Replaying from below the compaction horizon fails with ErrCompacted.
-func (l *Log) ReplaySerial(after, to uint64, apply Apply) (int, error) {
-	if c := l.CompactedThrough(); after < c {
-		return 0, fmt.Errorf("%w: replay from %d, compacted through %d", ErrCompacted, after, c)
-	}
-	n := 0
-	for _, e := range l.ReadFrom(after, 0) {
-		if e.Seq > to {
-			break
-		}
-		if err := apply(e); err != nil {
-			return n, fmt.Errorf("recoverylog: replay of entry %d: %w", e.Seq, err)
-		}
-		n++
-	}
-	return n, nil
-}
-
-// ReplayParallel replays entries (after, to] extracting parallelism from the
-// log (§4.4.2): entries run concurrently on up to workers goroutines unless
-// they share a table, in which case log order is preserved. DDL and
-// unknown-footprint entries act as barriers.
-//
-// Like ReplaySerial, the returned count is the contiguous applied prefix
-// from `after`: after+n is a position every entry at or below which has
-// applied, so a resumption from it never skips work. On error, entries
-// beyond the prefix may also have applied out of order (the concurrent
-// in-flight ones); a resumption re-applies them, which is the same
-// re-execution exposure a mid-transaction crash already has.
-func (l *Log) ReplayParallel(after, to uint64, workers int, apply Apply) (int, error) {
-	if c := l.CompactedThrough(); after < c {
-		return 0, fmt.Errorf("%w: replay from %d, compacted through %d", ErrCompacted, after, c)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	entries := l.ReadFrom(after, 0)
-	var batch []Entry
-	for _, e := range entries {
-		if e.Seq > to {
-			break
-		}
-		batch = append(batch, e)
-	}
-	sem := make(chan struct{}, workers)
-	// lastWriter maps a table to the completion channel of the latest
-	// entry that touches it; an entry waits on all its tables' channels.
-	lastWriter := make(map[string]chan struct{})
-	var barrier chan struct{} // completion of the last DDL/unknown entry
-	var allDone []chan struct{}
-
-	var mu sync.Mutex
-	var firstErr error
-	applied := make([]bool, len(batch))
-
-	for i, e := range batch {
-		deps := make([]chan struct{}, 0, len(e.Tables)+1)
-		if barrier != nil {
-			deps = append(deps, barrier)
-		}
-		isBarrier := e.DDL || len(e.Tables) == 0
-		if isBarrier {
-			// Wait for everything in flight.
-			deps = append(deps, allDone...)
-		} else {
-			for _, tab := range e.Tables {
-				if ch, ok := lastWriter[tab]; ok {
-					deps = append(deps, ch)
-				}
-			}
-		}
-		done := make(chan struct{})
-		for _, tab := range e.Tables {
-			lastWriter[tab] = done
-		}
-		if isBarrier {
-			barrier = done
-			lastWriter = make(map[string]chan struct{})
-			allDone = nil
-		}
-		allDone = append(allDone, done)
-
-		entry := e
-		idx := i
-		go func(deps []chan struct{}, done chan struct{}) {
-			defer close(done)
-			for _, d := range deps {
-				<-d
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			failed := firstErr != nil
-			mu.Unlock()
-			if failed {
-				return
-			}
-			if err := apply(entry); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("recoverylog: replay of entry %d: %w", entry.Seq, err)
-				}
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			applied[idx] = true
-			mu.Unlock()
-		}(deps, done)
-	}
-	for _, d := range allDone {
-		<-d
-	}
-	if barrier != nil {
-		<-barrier
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	n := 0
-	for n < len(applied) && applied[n] {
-		n++
-	}
-	return n, firstErr
+	return append([]engine.Event(nil), out...), nil
 }

@@ -1,40 +1,61 @@
 package recoverylog
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/engine"
+	"repro/internal/sqltypes"
 )
+
+// updateEvent is a committed single-row UPDATE of d.t, as the binlog
+// records it: statement, database, user and write set.
+func updateEvent(id int) engine.Event {
+	pk := sqltypes.NewInt(int64(id))
+	return engine.Event{
+		Stmts:    []string{fmt.Sprintf("UPDATE t SET v = %d WHERE id = %d", id, id)},
+		User:     "app",
+		Database: "d",
+		WriteSet: &engine.WriteSet{Ops: []engine.WriteOp{{
+			Database: "d", Table: "t", Kind: engine.WriteUpdate, PK: pk, HasPK: true,
+			Before: sqltypes.Row{pk, sqltypes.Null},
+			After:  sqltypes.Row{pk, sqltypes.NewInt(int64(id))},
+		}}},
+	}
+}
 
 func TestAppendAndRead(t *testing.T) {
 	l := New()
 	for i := 0; i < 5; i++ {
-		seq := l.Append([]string{fmt.Sprintf("stmt-%d", i)}, []string{"d.t"}, false)
-		if seq != uint64(i+1) {
-			t.Fatalf("seq = %d", seq)
+		seq, err := l.Append(updateEvent(i))
+		if err != nil || seq != uint64(i+1) {
+			t.Fatalf("seq = %d, err = %v", seq, err)
 		}
 	}
 	if l.Head() != 5 || l.Len() != 5 {
 		t.Fatalf("head=%d len=%d", l.Head(), l.Len())
 	}
-	out := l.ReadFrom(2, 2)
-	if len(out) != 2 || out[0].Seq != 3 || out[1].Seq != 4 {
-		t.Fatalf("read: %+v", out)
+	out, err := l.ReadFrom(2, 2)
+	if err != nil || len(out) != 2 || out[0].Seq != 3 || out[1].Seq != 4 {
+		t.Fatalf("read: %+v %v", out, err)
 	}
-	if got := l.ReadFrom(5, 0); got != nil {
-		t.Fatalf("read past head: %v", got)
+	if out[0].WriteSet == nil || out[0].Database != "d" {
+		t.Fatalf("read lost the event's write set or database: %+v", out[0])
+	}
+	if got, err := l.ReadFrom(5, 0); got != nil || err != nil {
+		t.Fatalf("read past head: %v %v", got, err)
 	}
 }
 
 func TestCheckpoints(t *testing.T) {
 	l := New()
-	l.Append([]string{"a"}, nil, false)
+	l.Append(updateEvent(1))
 	seq := l.Checkpoint("backup-1")
 	if seq != 1 {
 		t.Fatalf("checkpoint seq = %d", seq)
 	}
-	l.Append([]string{"b"}, nil, false)
+	l.Append(updateEvent(2))
 	l.CheckpointAt("manual", 0)
 	got, ok := l.CheckpointSeq("backup-1")
 	if !ok || got != 1 {
@@ -46,136 +67,21 @@ func TestCheckpoints(t *testing.T) {
 	}
 }
 
-func TestReplaySerialOrder(t *testing.T) {
+// TestReadBelowHorizonFails: a read that starts below the compaction
+// horizon would silently skip the dropped entries, so it is refused.
+func TestReadBelowHorizonFails(t *testing.T) {
 	l := New()
-	for i := 0; i < 10; i++ {
-		l.Append([]string{fmt.Sprintf("%d", i)}, []string{"d.t"}, false)
-	}
-	var got []string
-	n, err := l.ReplaySerial(3, 8, func(e Entry) error {
-		got = append(got, e.Stmts[0])
-		return nil
-	})
-	if err != nil || n != 5 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	want := []string{"3", "4", "5", "6", "7"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order: %v", got)
-		}
-	}
-}
-
-func TestReplayParallelPreservesPerTableOrder(t *testing.T) {
-	l := New()
-	// Interleaved entries on two tables.
-	for i := 0; i < 50; i++ {
-		table := "d.a"
-		if i%2 == 1 {
-			table = "d.b"
-		}
-		l.Append([]string{fmt.Sprintf("%d", i)}, []string{table}, false)
-	}
-	var mu sync.Mutex
-	perTable := map[string][]int{}
-	n, err := l.ReplayParallel(0, l.Head(), 8, func(e Entry) error {
-		mu.Lock()
-		defer mu.Unlock()
-		var v int
-		fmt.Sscanf(e.Stmts[0], "%d", &v)
-		perTable[e.Tables[0]] = append(perTable[e.Tables[0]], v)
-		return nil
-	})
-	if err != nil || n != 50 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	for table, seq := range perTable {
-		for i := 1; i < len(seq); i++ {
-			if seq[i] < seq[i-1] {
-				t.Fatalf("table %s out of order: %v", table, seq)
-			}
-		}
-	}
-}
-
-func TestReplayParallelBarriers(t *testing.T) {
-	l := New()
-	l.Append([]string{"a1"}, []string{"d.a"}, false)
-	l.Append([]string{"ddl"}, nil, true) // barrier
-	l.Append([]string{"a2"}, []string{"d.a"}, false)
-	var mu sync.Mutex
-	var got []string
-	_, err := l.ReplayParallel(0, 3, 4, func(e Entry) error {
-		mu.Lock()
-		got = append(got, e.Stmts[0])
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
+	appendN(t, l, 1, 20)
+	if err := l.AddCheckpoint("c10", 10, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[0] != "a1" || got[1] != "ddl" || got[2] != "a2" {
-		t.Fatalf("barrier order: %v", got)
+	if _, err := l.Compact(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestReplayParallelStopsOnError(t *testing.T) {
-	l := New()
-	for i := 0; i < 10; i++ {
-		l.Append([]string{fmt.Sprintf("%d", i)}, []string{"d.t"}, false)
+	if _, err := l.ReadFrom(5, 0); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("read below the horizon: err = %v, want ErrCompacted", err)
 	}
-	_, err := l.ReplayParallel(0, 10, 4, func(e Entry) error {
-		if e.Seq == 3 {
-			return fmt.Errorf("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestReplayEquivalenceProperty(t *testing.T) {
-	// Property: for any assignment of entries to tables, serial and
-	// parallel replay apply the same multiset of entries, and per-table
-	// subsequences are in log order.
-	f := func(assignment []uint8) bool {
-		if len(assignment) == 0 || len(assignment) > 60 {
-			return true
-		}
-		l := New()
-		for i, a := range assignment {
-			l.Append([]string{fmt.Sprintf("%d", i)}, []string{fmt.Sprintf("d.t%d", a%4)}, false)
-		}
-		var mu sync.Mutex
-		serial := map[string]int{}
-		parallel := map[string]int{}
-		if _, err := l.ReplaySerial(0, l.Head(), func(e Entry) error {
-			serial[e.Stmts[0]]++
-			return nil
-		}); err != nil {
-			return false
-		}
-		if _, err := l.ReplayParallel(0, l.Head(), 6, func(e Entry) error {
-			mu.Lock()
-			parallel[e.Stmts[0]]++
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			return false
-		}
-		if len(serial) != len(parallel) {
-			return false
-		}
-		for k, v := range serial {
-			if parallel[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	if out, err := l.ReadFrom(10, 0); err != nil || len(out) != 10 || out[0].Seq != 11 {
+		t.Fatalf("read at the horizon: %d entries, %v", len(out), err)
 	}
 }

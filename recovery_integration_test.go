@@ -15,6 +15,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/gcs"
 	"repro/internal/simnet"
+	"repro/internal/sqltypes"
 	"repro/internal/testutil"
 	"repro/internal/wire"
 	"repro/replication"
@@ -111,6 +112,69 @@ func TestDurableClusterRestartServesCommittedRows(t *testing.T) {
 	testutil.WaitForLag(t, d2.Cluster())
 	if err := d2.Provisioner().RecorderErr(); err != nil {
 		t.Fatalf("recorder unhealthy after restart: %v", err)
+	}
+}
+
+// TestDurableRestartKeepsRandomValues: a restart rebuilds rows from the
+// logged write sets, so an UPDATE that drew RAND() comes back with the
+// values clients read before the close, on the master and on the slave,
+// although the reopened replicas' generators draw other numbers.
+func TestDurableRestartKeepsRandomValues(t *testing.T) {
+	cfg := replication.DurableConfig{
+		Dir:             t.TempDir(),
+		Log:             replication.RecoveryLogOptions{FsyncEvery: 1},
+		Slaves:          1,
+		Replica:         replication.ReplicaConfig{Engine: engine.Config{RandSeed: 1}},
+		Cluster:         replication.MasterSlaveConfig{Consistency: replication.SessionConsistent},
+		CheckpointEvery: -1, // no checkpoint: the reopen applies the whole log
+		MonitorInterval: time.Millisecond,
+	}
+	prices := func(exec func(string, ...sqltypes.Value) (*engine.Result, error)) []float64 {
+		t.Helper()
+		res, err := exec("SELECT price FROM shop.p ORDER BY id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]float64, len(res.Rows))
+		for i, row := range res.Rows {
+			out[i] = row[0].Float()
+		}
+		return out
+	}
+	d1, err := replication.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := d1.NewSession("app")
+	for _, sql := range []string{
+		"CREATE DATABASE shop", "USE shop",
+		"CREATE TABLE p (id INTEGER PRIMARY KEY, price FLOAT)",
+		"INSERT INTO p (id, price) VALUES (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)",
+		"UPDATE p SET price = RAND()",
+	} {
+		if _, err := sess.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	want := prices(sess.Exec)
+	sess.Close()
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Replica.Engine.RandSeed = 2 // a new process draws other numbers
+	d2, err := replication.OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for _, rep := range append([]*replication.Replica{d2.Cluster().Master()}, d2.Cluster().Slaves()...) {
+		s := rep.Engine().NewSession("check")
+		got := prices(s.Exec)
+		s.Close()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s serves prices %v after restart, clients read %v before it", rep.Name(), got, want)
+		}
 	}
 }
 
