@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Bind arguments route through the whole stack (driver, wire, router,
-	// engine) — and statement-ship to slaves with the bindings inlined.
+	// engine); slaves apply the rows the master wrote, not the statement.
 	for _, item := range []struct {
 		name  string
 		price float64

@@ -48,6 +48,13 @@ func newMSCluster(t *testing.T, nSlaves int, cfg MasterSlaveConfig) (*MasterSlav
 	return ms, sess
 }
 
+// degradeSlaves makes every slave of ms take d longer per applied event.
+func degradeSlaves(ms *MasterSlave, d time.Duration) {
+	for _, sl := range ms.Slaves() {
+		sl.Degrade(0, d)
+	}
+}
+
 func waitCaughtUp(t *testing.T, ms *MasterSlave) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -119,10 +126,8 @@ func TestMSReadsGoToSlaves(t *testing.T) {
 }
 
 func TestMSTwoSafeWaitsForReceipt(t *testing.T) {
-	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{
-		Safety:     TwoSafe,
-		ApplyDelay: 20 * time.Millisecond, // receipt is fast; apply is slow
-	})
+	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{Safety: TwoSafe})
+	degradeSlaves(ms, 20*time.Millisecond) // receipt is fast; apply is slow
 	start := time.Now()
 	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
 	elapsed := time.Since(start)
@@ -159,10 +164,8 @@ func TestMSTwoSafeCommitTimesOutOnce(t *testing.T) {
 }
 
 func TestMSOneSafeLosesTrailingTransactions(t *testing.T) {
-	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{
-		Safety:     OneSafe,
-		ApplyDelay: 5 * time.Millisecond,
-	})
+	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{Safety: OneSafe})
+	degradeSlaves(ms, 5*time.Millisecond)
 	for i := 0; i < 20; i++ {
 		mustExecC(t, sess.Exec, fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'x')", i+1))
 	}
@@ -177,10 +180,8 @@ func TestMSOneSafeLosesTrailingTransactions(t *testing.T) {
 }
 
 func TestMSTwoSafeLosesNothing(t *testing.T) {
-	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{
-		Safety:     TwoSafe,
-		ApplyDelay: 2 * time.Millisecond,
-	})
+	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{Safety: TwoSafe})
+	degradeSlaves(ms, 2*time.Millisecond)
 	for i := 0; i < 10; i++ {
 		mustExecC(t, sess.Exec, fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'x')", i+1))
 	}
@@ -309,7 +310,8 @@ func TestMSFailbackResynchronizes(t *testing.T) {
 }
 
 func TestMSSlaveLagGrowsWithDelay(t *testing.T) {
-	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{ApplyDelay: 10 * time.Millisecond})
+	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{})
+	degradeSlaves(ms, 10*time.Millisecond)
 	for i := 0; i < 10; i++ {
 		mustExecC(t, sess.Exec, fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'x')", i+1))
 	}
@@ -320,10 +322,8 @@ func TestMSSlaveLagGrowsWithDelay(t *testing.T) {
 }
 
 func TestMSStrongConsistencyFallsBackToMaster(t *testing.T) {
-	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{
-		Consistency: StrongConsistent,
-		ApplyDelay:  20 * time.Millisecond,
-	})
+	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{Consistency: StrongConsistent})
+	degradeSlaves(ms, 20*time.Millisecond)
 	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
 	// Immediately read: slave lags, so the read must still see the row.
 	res := mustExecC(t, sess.Exec, "SELECT COUNT(*) FROM items")
@@ -945,9 +945,9 @@ func TestWANApplyErrorStopsLink(t *testing.T) {
 }
 
 // TestWANRetriesLockTimeout: a transaction at us holds the row a shipped eu
-// update needs for many of us's lock timeouts. Each apply that times out is
-// rolled back and applied again, so the update lands once the row is free
-// and the link keeps shipping instead of stopping.
+// update changes for many of us's lock timeouts. The apply takes no row
+// lock, as at a slave, so it cannot time out: the update lands, survives
+// the local rollback, and the link keeps shipping instead of stopping.
 func TestWANRetriesLockTimeout(t *testing.T) {
 	w, sessions := newWANWith(t, time.Millisecond,
 		ReplicaConfig{Engine: engine.Config{LockTimeout: 20 * time.Millisecond}})

@@ -125,6 +125,54 @@ func TestRecoveryDifferential(t *testing.T) {
 	}
 }
 
+// TestWANDifferential is the cross-site gate: the same seeded workload (less
+// temp tables) enters the first of three sites, whose masters' generators and
+// clocks disagree, and ships to the other two. Once shipping drains, every
+// site master and the first site's slave must be identical to the origin,
+// and no link may have stopped.
+func TestWANDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			reps := diffReplicas(4, seed)
+			var sites []*SiteConfig
+			for i, name := range []string{"eu", "us", "asia"} {
+				var slaves []*Replica
+				if i == 0 {
+					slaves = reps[3:]
+				}
+				ms := NewMasterSlave(reps[i], slaves, MasterSlaveConfig{})
+				t.Cleanup(ms.Close)
+				sites = append(sites, &SiteConfig{Name: name, Cluster: ms})
+			}
+			wan, err := NewWAN(sites, WANConfig{Latency: 100 * time.Microsecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(wan.Close)
+			w := newDiffWorkload(t, wan, seed, false)
+			w.run(200)
+
+			// Drained: every site master has logged one event per origin
+			// event, or a link stopped.
+			head := reps[0].Engine().Binlog().Head()
+			deadline := time.Now().Add(10 * time.Second)
+			for _, s := range sites[1:] {
+				for s.Cluster.MasterSeq() < head && len(wan.LinkErrors()) == 0 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if errs := wan.LinkErrors(); len(errs) != 0 {
+				t.Fatalf("links stopped: %v", errs)
+			}
+			for _, s := range sites {
+				waitCaughtUp(t, s.Cluster)
+			}
+			w.converged(reps)
+			w.binlogsAligned(reps)
+		})
+	}
+}
+
 // diffReplicas builds n replicas whose random generators and clocks
 // disagree: re-executing a statement on them cannot reproduce its result.
 func diffReplicas(n int, seed int64) []*Replica {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,15 +56,6 @@ type MasterSlaveConfig struct {
 	// TwoSafeAcks is how many slaves must confirm receipt before a commit
 	// returns under TwoSafe; zero means all slaves.
 	TwoSafeAcks int
-	// ApplyDelay adds per-event latency at slaves (models the apply lag
-	// whose consequences §2.2 describes).
-	ApplyDelay time.Duration
-	// ApplyBatch caps how many queued write-set events a slave applies per
-	// engine lock acquisition (group commit): a lagging slave drains its
-	// backlog with one lock round-trip per batch instead of one per
-	// transaction. Zero means 32; 1 disables batching. DDL events always
-	// apply one at a time.
-	ApplyBatch int
 	// ReadPolicy balances reads over slaves; nil means LPRF.
 	ReadPolicy lb.Policy
 	// ReadLevel is the balancing granularity. The zero value is
@@ -199,13 +189,16 @@ func (ms *MasterSlave) durability() DurabilityWaiter {
 
 // slaveApplier consumes the master binlog serially into one slave.
 type slaveApplier struct {
-	slave   *Replica
-	session *engine.Session
-	delay   time.Duration
-	batch   int // max write-set events group-committed per lock acquisition
-	stop    chan struct{}
-	done    chan struct{}
+	slave *Replica
+	stop  chan struct{}
+	done  chan struct{}
 }
+
+// applyBatch caps how many queued write-set events a slave applies per
+// engine lock acquisition (group commit): a lagging slave drains its
+// backlog with one lock round-trip per batch instead of one per
+// transaction. DDL events apply one at a time.
+const applyBatch = 32
 
 // NewMasterSlave wires a master and its slaves and starts binlog shipping.
 func NewMasterSlave(master *Replica, slaves []*Replica, cfg MasterSlaveConfig) *MasterSlave {
@@ -271,22 +264,12 @@ func (ms *MasterSlave) SlaveLag() map[string]uint64 {
 // startApplier begins shipping the master binlog into a slave from position
 // `from`. Caller must not hold ms.mu... it only reads ms.master once.
 func (ms *MasterSlave) startApplier(sl *Replica, from uint64) {
-	batch := ms.cfg.ApplyBatch
-	if batch == 0 {
-		batch = 32
-	}
-	if batch < 1 {
-		batch = 1
-	}
 	ms.mu.Lock()
 	master := ms.master
 	a := &slaveApplier{
-		slave:   sl,
-		session: sl.Engine().NewSession("replication"),
-		delay:   ms.cfg.ApplyDelay,
-		batch:   batch,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		slave: sl,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	ms.appliers[sl.Name()] = a
 	ms.mu.Unlock()
@@ -297,8 +280,8 @@ func (ms *MasterSlave) startApplier(sl *Replica, from uint64) {
 // slave's write service cost. Application stays serial — one event stream,
 // in commit order, which is exactly why a loaded slave lags a parallel
 // master (§2.2, experiment C3) — but a backlog drains in group-commit
-// batches: one engine lock acquisition applies up to a.batch queued write
-// sets, each still committing individually so binlog positions stay
+// batches: one engine lock acquisition applies up to applyBatch queued
+// write sets, each still committing individually so binlog positions stay
 // aligned one-event-one-commit across replicas.
 func (a *slaveApplier) run(masterEng *engine.Engine, from uint64) {
 	defer close(a.done)
@@ -326,7 +309,7 @@ func (a *slaveApplier) run(masterEng *engine.Engine, from uint64) {
 			}
 			// A batch is one DDL event or a run of write-set events.
 			n := 1
-			for !events[0].DDL && n < len(events) && n < a.batch && !events[n].DDL {
+			for !events[0].DDL && n < len(events) && n < applyBatch && !events[n].DDL {
 				n++
 			}
 			batch := events[:n]
@@ -342,7 +325,7 @@ func (a *slaveApplier) run(masterEng *engine.Engine, from uint64) {
 				a.receive(ev)
 				received++
 			}
-			applied, err := applyEvents(a.session, a.slave.Engine(), batch[:received])
+			applied, err := a.slave.Engine().ApplyEvents(batch[:received])
 			if applied > 0 {
 				pos = batch[applied-1].Seq
 				a.slave.appliedSeq.Store(pos)
@@ -360,12 +343,9 @@ func (a *slaveApplier) run(masterEng *engine.Engine, from uint64) {
 }
 
 // receive acknowledges an event's arrival (what 2-safe commits wait for)
-// and pays the slave's per-event delay and any degradation delay.
+// and pays any degradation delay (Replica.Degrade).
 func (a *slaveApplier) receive(ev engine.Event) {
 	a.slave.receivedSeq.Store(ev.Seq)
-	if a.delay > 0 {
-		time.Sleep(a.delay)
-	}
 	a.slave.applyDelay()
 }
 
@@ -385,54 +365,6 @@ func (a *slaveApplier) halt() {
 		close(a.stop)
 	}
 	<-a.done
-	a.session.Close()
-}
-
-// applyDDL executes a DDL event's statement on s in the event's database.
-// DDL is the one event kind with no write set, so it ships as text; the
-// statement cache parses each distinct text once for every slave.
-func applyDDL(s *engine.Session, ev engine.Event) error {
-	if ev.Database != "" {
-		if _, err := s.ExecStmt(&sqlparse.UseDatabase{Name: ev.Database}); err != nil && !isUnknownDB(err) {
-			return err
-		}
-	}
-	st, err := sqlparse.ParseCached(ev.Stmts[0])
-	if err != nil {
-		return err
-	}
-	_, err = s.ExecStmt(st)
-	return err
-}
-
-// applyEvents applies a run of binlog events to eng: DDL through s,
-// everything else as write-set batches. It returns how many events were
-// applied; on error the events before the failing one remain committed.
-func applyEvents(s *engine.Session, eng *engine.Engine, events []engine.Event) (int, error) {
-	done := 0
-	for done < len(events) {
-		if events[done].DDL {
-			if err := applyDDL(s, events[done]); err != nil {
-				return done, err
-			}
-			done++
-			continue
-		}
-		end := done + 1
-		for end < len(events) && !events[end].DDL {
-			end++
-		}
-		n, err := eng.ApplyEvents(events[done:end], engine.ApplyOptions{AdvanceCounters: true})
-		done += n
-		if err != nil {
-			return done, err
-		}
-	}
-	return done, nil
-}
-
-func isUnknownDB(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown database")
 }
 
 // waitTwoSafe blocks until enough slaves confirmed receipt of seq.
@@ -894,23 +826,6 @@ func (ms *MasterSlave) SeedFrom(b *engine.Backup) error {
 		ms.startApplier(sl, b.AtSeq)
 	}
 	return nil
-}
-
-// ApplyForeignEvents applies committed binlog events from ANOTHER cluster's
-// lineage to this cluster's master, one event per commit, so the master's
-// own binlog (and therefore its slaves) tracks the foreign stream position
-// — the destination head doubles as the migration's resume cursor after a
-// seed via SeedFrom. It returns how many
-// of the events were applied; on error the prefix before the failing event
-// is committed.
-func (ms *MasterSlave) ApplyForeignEvents(events []engine.Event) (int, error) {
-	if len(events) == 0 {
-		return 0, nil
-	}
-	master := ms.Master()
-	sess := master.Engine().NewSession("rebalance")
-	defer sess.Close()
-	return applyEvents(sess, master.Engine(), events)
 }
 
 // SurvivableSeq returns the highest source position guaranteed to exist in

@@ -254,24 +254,10 @@ func (s *MMSession) begin() (*engine.Result, error) {
 	return &engine.Result{}, nil
 }
 
-// isDDL reports whether the statement changes schema/catalog objects.
-func isDDL(st sqlparse.Statement) bool {
-	switch st.(type) {
-	case *sqlparse.CreateDatabase, *sqlparse.DropDatabase,
-		*sqlparse.CreateTable, *sqlparse.DropTable,
-		*sqlparse.CreateSequence, *sqlparse.DropSequence,
-		*sqlparse.CreateTrigger, *sqlparse.DropTrigger,
-		*sqlparse.CreateProcedure, *sqlparse.DropProcedure,
-		*sqlparse.CreateUser, *sqlparse.Grant:
-		return true
-	}
-	return false
-}
-
 // execInTxn runs a statement inside the interactive transaction; the ?
 // arguments bind at the home replica and the write set carries row images.
 func (s *MMSession) execInTxn(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time) (*engine.Result, error) {
-	if isDDL(st) {
+	if sqlparse.IsDDL(st) {
 		// DDL is non-transactional (§4.1.2) and cannot ride in a write set.
 		return nil, fmt.Errorf("%w: DDL inside explicit transactions on multi-master clusters", ErrUnsupportedStatement)
 	}
@@ -310,10 +296,10 @@ func (s *MMSession) rollback() (*engine.Result, error) {
 // execAutocommitWrite orders a single write statement: DDL as its text,
 // anything else as a one-statement certified transaction.
 func (s *MMSession) execAutocommitWrite(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time) (*engine.Result, error) {
-	if isDDL(st) {
+	if sqlparse.IsDDL(st) {
 		// Write sets cannot carry DDL (§4.3.2): schema changes replicate as
 		// ordered statements.
-		return s.submit(mmTxn{DDL: st.SQL()}) // lint:rawsql-ok isDDL-guarded: DDL statements cannot carry ? placeholders (see sqlparse/bind.go)
+		return s.submit(mmTxn{DDL: st.SQL()}) // lint:rawsql-ok IsDDL-guarded: DDL statements cannot carry ? placeholders (see sqlparse/bind.go)
 	}
 	// The caller's admission slot covers the whole begin/execute/commit
 	// composition.

@@ -198,9 +198,6 @@ func (mm *MultiMaster) Close() {
 // the (replicated or centralized) certifier on its write sets.
 func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, stop chan struct{}) {
 	defer mm.wg.Done()
-	session := r.Engine().NewSession("replication")
-	defer session.Close()
-	curDB := ""
 	for {
 		select {
 		case <-stop:
@@ -219,9 +216,10 @@ func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, s
 			count := r.Name() == txn.Origin
 			r.snapMu.Lock()
 			if txn.WS != nil {
-				outcome = mm.applyCertified(r, cert, ord.Seq, txn, count)
-			} else {
-				outcome = mm.applyDDL(r, session, &curDB, txn, count)
+				outcome = mm.certify(cert, ord.Seq, txn, count)
+			}
+			if outcome.err == nil {
+				outcome = mm.apply(r, txn, count)
 			}
 			r.receivedSeq.Store(ord.Seq)
 			r.appliedSeq.Store(ord.Seq)
@@ -260,31 +258,9 @@ func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, s
 	}
 }
 
-// applyDDL executes an ordered schema change.
-func (mm *MultiMaster) applyDDL(r *Replica, s *engine.Session, curDB *string, txn mmTxn, count bool) txnOutcome {
-	if err := r.acquire(); err != nil {
-		return txnOutcome{err: err}
-	}
-	defer r.release()
-	if txn.Database != "" && txn.Database != *curDB {
-		if _, err := s.Exec("USE " + txn.Database); err != nil {
-			return txnOutcome{err: err}
-		}
-		*curDB = txn.Database
-	}
-	r.applyDelay()
-	res, err := s.Exec(txn.DDL)
-	if err != nil {
-		return txnOutcome{err: err}
-	}
-	if count {
-		mm.commits.Add(1)
-	}
-	return txnOutcome{res: res}
-}
-
-// applyCertified certifies a write set and applies it if it passes.
-func (mm *MultiMaster) applyCertified(r *Replica, cert *Certifier, seq uint64, txn mmTxn, count bool) txnOutcome {
+// certify runs certification on a write set; a write set that fails it
+// is aborted.
+func (mm *MultiMaster) certify(cert *Certifier, seq uint64, txn mmTxn, count bool) txnOutcome {
 	ok, err := cert.Certify(seq, txn.Snapshot, txn.WS)
 	if err != nil {
 		return txnOutcome{err: err}
@@ -295,18 +271,31 @@ func (mm *MultiMaster) applyCertified(r *Replica, cert *Certifier, seq uint64, t
 		}
 		return txnOutcome{err: ErrCertificationAbort}
 	}
+	return txnOutcome{}
+}
+
+// apply applies an ordered transaction at r as one binlog event: a
+// certified write set, or a schema change by its statement.
+func (mm *MultiMaster) apply(r *Replica, txn mmTxn, count bool) txnOutcome {
 	if err := r.acquire(); err != nil {
 		return txnOutcome{err: err}
 	}
 	defer r.release()
 	r.applyDelay()
-	if err := r.Engine().ApplyWriteSet(txn.WS, engine.ApplyOptions{AdvanceCounters: true}); err != nil {
+	ev := engine.Event{WriteSet: txn.WS, User: txn.User, Database: txn.Database}
+	res := &engine.Result{}
+	if txn.WS == nil {
+		ev.Stmts, ev.WriteSet, ev.DDL = []string{txn.DDL}, &engine.WriteSet{}, true
+	} else {
+		res.RowsAffected = int64(len(txn.WS.Ops))
+	}
+	if _, err := r.Engine().ApplyEvents([]engine.Event{ev}); err != nil {
 		return txnOutcome{err: err}
 	}
 	if count {
 		mm.commits.Add(1)
 	}
-	return txnOutcome{res: &engine.Result{RowsAffected: int64(len(txn.WS.Ops))}}
+	return txnOutcome{res: res}
 }
 
 // notify wakes the waiting session when its home replica has processed the

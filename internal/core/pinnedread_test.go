@@ -12,12 +12,10 @@ import (
 // consistent read issued right after a write could observe the pre-write
 // state whenever the pinned slave lagged. The statement fast path made
 // clients fast enough to hit the window reliably through the wire layer.
-// ApplyDelay makes the lag deterministic here.
+// Degrading the slaves makes the lag deterministic here.
 func TestPinnedReadHonorsSessionConsistency(t *testing.T) {
-	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{
-		Consistency: SessionConsistent,
-		ApplyDelay:  50 * time.Millisecond,
-	})
+	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{Consistency: SessionConsistent})
+	degradeSlaves(ms, 50*time.Millisecond)
 	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a'), (2, 'b'), (3, 'c')")
 	waitCaughtUp(t, ms)
 

@@ -407,8 +407,6 @@ func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxD
 			recoverylog.ErrCompacted, rep.Name(), from, c)
 	}
 	p.log.Register(rep.Name(), from)
-	session := rep.Engine().NewSession("resync")
-	defer session.Close()
 
 	start := time.Now()
 	pos := from
@@ -433,7 +431,7 @@ func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxD
 		if err != nil {
 			return nil, fmt.Errorf("core: resync of %s: %w", rep.Name(), err)
 		}
-		n, err := replayEvents(session, rep.Engine(), evs, opts.BeforeApply)
+		n, err := replayEvents(rep.Engine(), evs, opts.BeforeApply)
 		total += n
 		// Advance only by the contiguous applied prefix, so a resumed
 		// resync never skips an entry a failed run did not apply.
@@ -455,26 +453,23 @@ func (p *Provisioner) Resync(rep *Replica, from uint64, opts ResyncOptions, maxD
 }
 
 // replayEvents applies a run of logged events the way a slave applies the
-// master's stream. Each event is checked and passed to before (when
-// non-nil) first, and the run is cut at the first one refused. An event
-// without a write set is refused: every binlog event carries one (a DDL
-// event's is empty), so it is statement text from a log written before
-// entries held write sets. It returns how many events were applied and the
-// first error, of either kind.
-func replayEvents(s *engine.Session, eng *engine.Engine, evs []engine.Event, before func(engine.Event) error) (int, error) {
+// master's stream. Each event is passed to before (when non-nil) first, and
+// the run is cut at the first one refused. ApplyEvents refuses an event
+// without a write set with engine.ErrNoWriteSet: every binlog event carries
+// one (a DDL event's is empty), so it is statement text from a log written
+// before entries held write sets. It returns how many events were applied
+// and the first error, of either kind.
+func replayEvents(eng *engine.Engine, evs []engine.Event, before func(engine.Event) error) (int, error) {
 	var refused error
-	for i := range evs {
-		if evs[i].WriteSet == nil {
-			refused = fmt.Errorf("event %d: %w", evs[i].Seq, engine.ErrNoWriteSet)
-		} else if before != nil {
-			refused = before(evs[i])
-		}
-		if refused != nil {
-			evs = evs[:i]
-			break
+	if before != nil {
+		for i := range evs {
+			if refused = before(evs[i]); refused != nil {
+				evs = evs[:i]
+				break
+			}
 		}
 	}
-	n, err := applyEvents(s, eng, evs)
+	n, err := eng.ApplyEvents(evs)
 	if err == nil {
 		err = refused
 	}

@@ -63,16 +63,13 @@ func TestCachedReadServesFromCache(t *testing.T) {
 // TestCachedReadHonorsSessionConsistency is the cache mirror of
 // TestPinnedReadHonorsSessionConsistency: a session-consistent read issued
 // right after a write must not be served the pre-write cached result, even
-// though that entry was perfectly fresh a moment earlier. ApplyDelay keeps
-// the slaves (whose positions tag slave-filled entries) deterministically
+// though that entry was perfectly fresh a moment earlier. Degraded slaves
+// (whose positions tag slave-filled entries) stay deterministically
 // stale through the window.
 func TestCachedReadHonorsSessionConsistency(t *testing.T) {
 	qc := qcache.New(qcache.Config{})
-	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{
-		Consistency: SessionConsistent,
-		ApplyDelay:  50 * time.Millisecond,
-		QueryCache:  qc,
-	})
+	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{Consistency: SessionConsistent, QueryCache: qc})
+	degradeSlaves(ms, 50*time.Millisecond)
 	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a'), (2, 'b'), (3, 'c')")
 	waitCaughtUp(t, ms)
 
@@ -123,11 +120,8 @@ func TestCachedReadHonorsSessionConsistency(t *testing.T) {
 // lookup with minPos 0.
 func TestCacheInvalidatedBeforeWriteAck(t *testing.T) {
 	qc := qcache.New(qcache.Config{})
-	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{
-		Consistency: SessionConsistent,
-		ApplyDelay:  50 * time.Millisecond, // slaves stay stale past the ack
-		QueryCache:  qc,
-	})
+	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{Consistency: SessionConsistent, QueryCache: qc})
+	degradeSlaves(ms, 50*time.Millisecond) // slaves stay stale past the ack
 	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")
 	waitCaughtUp(t, ms)
 
@@ -180,11 +174,8 @@ func TestCachedReadSkipsSerializable(t *testing.T) {
 // sessions shouldn't see.
 func TestCachedReadsConcurrentWriters(t *testing.T) {
 	qc := qcache.New(qcache.Config{})
-	ms, boot := newMSCluster(t, 2, MasterSlaveConfig{
-		Consistency: SessionConsistent,
-		ApplyDelay:  2 * time.Millisecond,
-		QueryCache:  qc,
-	})
+	ms, boot := newMSCluster(t, 2, MasterSlaveConfig{Consistency: SessionConsistent, QueryCache: qc})
+	degradeSlaves(ms, 2*time.Millisecond)
 	mustExecC(t, boot.Exec, "INSERT INTO items (id, name, stock) VALUES (1, 'a', 25), (2, 'b', 25), (3, 'c', 25), (4, 'd', 25)")
 	waitCaughtUp(t, ms)
 

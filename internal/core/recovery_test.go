@@ -319,7 +319,8 @@ func TestMonitorAutoFailoverAndRejoin(t *testing.T) {
 // promoted slave never applied must vanish from the recovery log, or a
 // later resync would replay transactions the cluster does not contain.
 func TestFailoverToTruncatesLostSuffix(t *testing.T) {
-	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{ApplyDelay: 5 * time.Millisecond})
+	ms, sess := newMSCluster(t, 1, MasterSlaveConfig{})
+	degradeSlaves(ms, 5*time.Millisecond)
 	prov := NewProvisioner(recoverylog.New())
 	prov.Follow(ms.Master(), FollowOptions{})
 	t.Cleanup(prov.Unfollow)
@@ -336,6 +337,7 @@ func TestFailoverToTruncatesLostSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	promoted.Degrade(0, 0) // it serves client writes now
 	if err := prov.FailoverTo(promoted); err != nil {
 		t.Fatal(err)
 	}

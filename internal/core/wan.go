@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -95,18 +94,17 @@ func (w *WAN) latency(a, b string) time.Duration {
 	return w.cfg.Latency
 }
 
-// startShipper asynchronously replays `from`'s locally-originated commits
-// at `to`, delayed by the inter-site latency. An event that meets a lock
-// wait timeout or a serialization failure at `to` was rolled back there and
-// is applied again. Any other error stops the link: applying later events
-// past a lost one would let the sites diverge silently, so the error is kept
-// for LinkErrors and Health.
+// startShipper asynchronously applies `from`'s locally-originated commits
+// at `to`, delayed by the inter-site latency: DDL by its statement,
+// everything else by its write set, as a slave applies its master's. The
+// applied event is logged at `to` as wanUser's, so `to`'s own shippers skip
+// it. An apply error stops the link: applying later events past a lost one
+// would let the sites diverge silently, so the error is kept for LinkErrors
+// and Health.
 func (w *WAN) startShipper(from, to *SiteConfig) {
 	ch, cancel := from.Cluster.Master().Engine().Binlog().Subscribe(1024)
-	session := to.Cluster.Master().Engine().NewSession(wanUser)
 	stop := make(chan struct{})
 	go func() {
-		defer session.Close()
 		for {
 			select {
 			case <-stop:
@@ -121,16 +119,8 @@ func (w *WAN) startShipper(from, to *SiteConfig) {
 				time.Sleep(w.latency(from.Name, to.Name))
 				// Async apply at the destination master; its local slaves
 				// pick the event up via normal intra-site shipping.
-				err := applyStatements(session, to.Cluster.Master().Engine(), ev)
-				for retryable(err) {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					err = applyStatements(session, to.Cluster.Master().Engine(), ev)
-				}
-				if err != nil {
+				ev.User = wanUser
+				if _, err := to.Cluster.Master().Engine().ApplyEvents([]engine.Event{ev}); err != nil {
 					w.mu.Lock()
 					w.linkErrs[from.Name+"->"+to.Name] = fmt.Errorf("core: wan link %s->%s stopped at binlog seq %d: %w",
 						from.Name, to.Name, ev.Seq, err)
@@ -144,58 +134,6 @@ func (w *WAN) startShipper(from, to *SiteConfig) {
 	w.mu.Lock()
 	w.shippers = append(w.shippers, func() { close(stop); cancel() })
 	w.mu.Unlock()
-}
-
-// retryable reports whether an apply failed only because of a concurrent
-// transaction at the destination, so that applying the event again can
-// succeed.
-func retryable(err error) bool {
-	return errors.Is(err, engine.ErrLockTimeout) || errors.Is(err, engine.ErrSerialization)
-}
-
-// applyStatements re-executes one event's statements on s as one
-// transaction: the statement-shipping form (§4.3.2) cross-site replication
-// uses. DDL applies as at a slave; a statement-less event (a migration's
-// write set) applies by write set.
-func applyStatements(s *engine.Session, eng *engine.Engine, ev engine.Event) error {
-	if ev.DDL {
-		return applyDDL(s, ev)
-	}
-	if len(ev.Stmts) == 0 {
-		if ev.WriteSet != nil {
-			return eng.ApplyWriteSet(ev.WriteSet, engine.ApplyOptions{})
-		}
-		return nil
-	}
-	if ev.Database != "" {
-		if _, err := s.ExecStmt(&sqlparse.UseDatabase{Name: ev.Database}); err != nil {
-			return err
-		}
-	}
-	if len(ev.Stmts) == 1 {
-		st, err := sqlparse.ParseCached(ev.Stmts[0])
-		if err != nil {
-			return err
-		}
-		_, err = s.ExecStmt(st)
-		return err
-	}
-	if _, err := s.ExecStmt(&sqlparse.BeginTxn{}); err != nil {
-		return err
-	}
-	for _, sql := range ev.Stmts {
-		st, err := sqlparse.ParseCached(sql)
-		if err != nil {
-			_, _ = s.ExecStmt(&sqlparse.RollbackTxn{})
-			return err
-		}
-		if _, err := s.ExecStmt(st); err != nil {
-			_, _ = s.ExecStmt(&sqlparse.RollbackTxn{})
-			return err
-		}
-	}
-	_, err := s.ExecStmt(&sqlparse.CommitTxn{})
-	return err
 }
 
 // LinkErrors returns the error that stopped each stopped site→site link,

@@ -24,7 +24,7 @@ type cloneTail struct {
 }
 
 func (t *cloneTail) apply(events []engine.Event) (int, error) {
-	return t.dest.ApplyForeignEvents(events)
+	return t.dest.Master().Engine().ApplyEvents(events)
 }
 
 // filteredTail is the existing-destination tail: only write-set operations
@@ -71,7 +71,7 @@ func (t *filteredTail) copySnapshot(b *engine.Backup) error {
 				if ws == nil || len(ws.Ops) == 0 {
 					return nil
 				}
-				err := eng.ApplyWriteSet(ws, engine.ApplyOptions{AdvanceCounters: true})
+				_, err := eng.ApplyEvents([]engine.Event{{WriteSet: ws}})
 				ws = nil
 				return err
 			}
@@ -114,19 +114,15 @@ func (t *filteredTail) copySnapshot(b *engine.Backup) error {
 }
 
 // apply filters each event's write-set down to the moving buckets and
-// applies the survivors to the destination master, one (possibly empty)
-// write-set per event so the applied count maps one-to-one onto events.
+// applies the events with surviving operations to the destination master,
+// one commit each. An event left with none is dropped and counts as
+// applied, so the returned count is of source events.
 func (t *filteredTail) apply(events []engine.Event) (int, error) {
-	sets := make([]*engine.WriteSet, len(events))
+	var kept []engine.Event
+	var src []int // src[j] is the index in events of kept[j]
 	for i, ev := range events {
 		if ev.DDL {
 			continue // broadcast reaches the destination directly
-		}
-		if ev.WriteSet == nil {
-			if len(ev.Stmts) == 0 {
-				continue
-			}
-			return 0, fmt.Errorf("event %d carries statements without a write-set; filtered migration requires write-set shipping", ev.Seq)
 		}
 		var ws *engine.WriteSet
 		for _, op := range ev.WriteSet.Ops {
@@ -154,9 +150,16 @@ func (t *filteredTail) apply(events []engine.Event) (int, error) {
 			}
 			ws.Ops = append(ws.Ops, op)
 		}
-		sets[i] = ws
+		if ws != nil {
+			kept = append(kept, engine.Event{WriteSet: ws, User: ev.User, Database: ev.Database})
+			src = append(src, i)
+		}
 	}
-	return t.dest.Master().Engine().ApplyWriteSets(sets, engine.ApplyOptions{AdvanceCounters: true})
+	n, err := t.dest.Master().Engine().ApplyEvents(kept)
+	if err != nil {
+		return src[n], err
+	}
+	return len(events), nil
 }
 
 func tableKey(db, table string) string { return db + "\x00" + table }

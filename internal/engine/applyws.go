@@ -4,100 +4,87 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 )
 
 // ErrNoWriteSet is ApplyEvents' refusal of an event without a write set:
-// DDL, which the caller must execute, or statement text alone, such as an
-// entry of a recovery log written before entries held write sets. Re-running
-// such text is not deterministic, so it is never applied.
+// statement text alone, such as an entry of a recovery log written before
+// entries held write sets. Every binlog event carries a write set (a DDL
+// event's is empty), and re-running DML text is not deterministic, so such an
+// event is never applied.
 var ErrNoWriteSet = errors.New("engine: event carries no write set")
 
-// ApplyOptions tunes write-set application on a replica.
-type ApplyOptions struct {
-	// AdvanceCounters additionally bumps auto-increment counters past any
-	// applied key values and moves sequences to the write set's recorded
-	// positions. Off by default, reproducing the §4.3.2 gap: "writeset
-	// extraction does not capture changes like auto-incremented keys [or]
-	// sequence values", so a later local insert on this replica can collide
-	// with a remotely generated key.
-	AdvanceCounters bool
-}
-
-// ApplyWriteSet applies a replicated transaction's row changes to this
-// engine, identifying rows by primary key. The application is itself a
-// transaction: it commits atomically, appears in the binlog, and bumps the
-// commit clock.
-func (e *Engine) ApplyWriteSet(ws *WriteSet, opts ApplyOptions) error {
-	if ws == nil || len(ws.Ops) == 0 {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.applyWriteSetLocked(ws, opts, nil)
-}
-
-// ApplyWriteSets applies a batch of replicated transactions under a single
-// engine lock acquisition — the group-commit form of write-set apply. Each
-// write-set still commits as its own transaction, with its own commit
-// timestamp and binlog event; nil or empty write-sets are skipped.
-//
-// It returns how many write-sets of the batch were applied. On error the
-// failing write-set is rolled back and application stops; write-sets before
-// it remain committed, so the caller can advance its replication position
-// to the last applied event before surfacing the error.
-func (e *Engine) ApplyWriteSets(wss []*WriteSet, opts ApplyOptions) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, ws := range wss {
-		if ws == nil || len(ws.Ops) == 0 {
-			continue
-		}
-		if err := e.applyWriteSetLocked(ws, opts, nil); err != nil {
-			return i, err
-		}
-	}
-	return len(wss), nil
-}
-
-// ApplyEvents applies another engine's committed non-DDL binlog events, in
-// order, under a single engine lock acquisition: the slave apply path.
-// Each event commits as one transaction whose own binlog event carries the
-// origin's statements, user, database and *WriteSet, so a log recorded from
-// this engine after it is promoted holds the same entries the origin's
-// would. An event with an empty write set still commits, keeping binlog
-// positions aligned one-event-one-commit with the origin.
+// ApplyEvents applies another engine's committed binlog events, in order,
+// under a single engine lock acquisition: the one way a replica applies what
+// another engine committed. A DDL event executes its statement, as the
+// origin's user in the origin's database; every other event applies its
+// write set by primary key, moving auto-increment counters past the applied
+// keys and sequences to the positions the write set recorded, which closes
+// §4.3.2's gap. Each event commits as one transaction whose own binlog event
+// carries the origin's statements, user and database (and *WriteSet), so a
+// log recorded from this engine after it is promoted holds the same entries
+// the origin's would. An event with an empty write set still commits,
+// keeping binlog positions aligned one-event-one-commit with the origin.
 //
 // It returns how many events were applied; on error the failing event is
 // rolled back and the events before it remain committed.
-func (e *Engine) ApplyEvents(evs []Event, opts ApplyOptions) (int, error) {
+func (e *Engine) ApplyEvents(evs []Event) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range evs {
-		if evs[i].DDL || evs[i].WriteSet == nil {
-			return i, fmt.Errorf("engine: apply event %d: %w", evs[i].Seq, ErrNoWriteSet)
+		ev := &evs[i]
+		var err error
+		switch {
+		case ev.WriteSet == nil:
+			err = fmt.Errorf("engine: apply event %d: %w", ev.Seq, ErrNoWriteSet)
+		case ev.DDL:
+			err = e.applyDDLLocked(ev)
+		default:
+			err = e.applyWriteSetLocked(ev)
 		}
-		if err := e.applyWriteSetLocked(evs[i].WriteSet, opts, &evs[i]); err != nil {
+		if err != nil {
 			return i, err
 		}
 	}
 	return len(evs), nil
 }
 
-// applyWriteSetLocked applies one write-set as one transaction, logged as
-// origin when that is non-nil (see commitLocked). Caller holds e.mu
+// applyDDLLocked executes a DDL event's one statement in a session that
+// stands where the origin's did: its user, its current database. No USE is
+// run, so a database the origin had selected but this engine lacks fails
+// only a statement that resolves a name through it, with the engine's own
+// unknown-database error. Only DDL text is executed here. Caller holds e.mu
 // exclusively.
-func (e *Engine) applyWriteSetLocked(ws *WriteSet, opts ApplyOptions, origin *Event) error {
+func (e *Engine) applyDDLLocked(ev *Event) error {
+	if len(ev.Stmts) != 1 {
+		return fmt.Errorf("engine: apply DDL event %d: %d statements, want 1", ev.Seq, len(ev.Stmts))
+	}
+	st, err := sqlparse.ParseCached(ev.Stmts[0])
+	if err != nil {
+		return err
+	}
+	if !sqlparse.IsDDL(st) {
+		return fmt.Errorf("engine: apply DDL event %d: %q is not DDL", ev.Seq, ev.Stmts[0])
+	}
+	s := e.NewSession(ev.User)
+	s.currentDB = ev.Database
+	_, err = s.execLocked(st, nil, 0)
+	return err
+}
+
+// applyWriteSetLocked applies one event's write set as one transaction,
+// logged as the event (see commitLocked). Caller holds e.mu exclusively.
+func (e *Engine) applyWriteSetLocked(origin *Event) error {
+	ws := origin.WriteSet
 	tx := e.beginTxnLocked(ReadCommitted)
 	for _, op := range ws.Ops {
-		if err := e.applyOpLocked(tx, op, opts); err != nil {
+		if err := e.applyOpLocked(tx, op); err != nil {
 			e.rollbackLocked(tx)
 			return err
 		}
 	}
-	if opts.AdvanceCounters {
-		e.advanceSequencesLocked(ws.Sequences)
-	}
+	e.advanceSequencesLocked(ws.Sequences)
 	_, _, err := e.commitLocked(tx, nil, origin)
 	return err
 }
@@ -140,7 +127,7 @@ func (e *Engine) takeMovedSequencesLocked() []SequencePos {
 	return out
 }
 
-func (e *Engine) applyOpLocked(tx *Txn, op WriteOp, opts ApplyOptions) error {
+func (e *Engine) applyOpLocked(tx *Txn, op WriteOp) error {
 	key := tableKey{db: op.Database, table: op.Table}
 	t, err := e.resolveTableLocked(key)
 	if err != nil {
@@ -198,11 +185,9 @@ func (e *Engine) applyOpLocked(tx *Txn, op WriteOp, opts ApplyOptions) error {
 			tx.indexOverlayPK(key, id, op.After[t.pkCol])
 		}
 		tx.ops = append(tx.ops, pendingOp{key: key, rowID: id, kind: WriteInsert})
-		if opts.AdvanceCounters {
-			for i, c := range t.Columns {
-				if c.AutoIncrement && op.After[i].Kind() == sqltypes.KindInt && op.After[i].Int() > t.autoInc {
-					t.autoInc = op.After[i].Int()
-				}
+		for i, c := range t.Columns {
+			if c.AutoIncrement && op.After[i].Kind() == sqltypes.KindInt && op.After[i].Int() > t.autoInc {
+				t.autoInc = op.After[i].Int()
 			}
 		}
 	case WriteUpdate:

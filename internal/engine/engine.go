@@ -14,9 +14,10 @@
 //     (Sybase), temp-table rules (§4.1.2–§4.1.4);
 //   - sequences and auto-increment counters that are non-transactional and
 //     never roll back (§4.2.3);
-//   - write-set capture with the documented blind spots: applying a write
-//     set's rows moves no auto-increment counter or sequence (§4.3.2)
-//     unless the applier opts in with ApplyOptions.AdvanceCounters;
+//   - write-set capture with the documented blind spots: a write set's rows
+//     name no auto-increment counter, and NEXTVAL's values appear in no row
+//     (§4.3.2), so each write set records its sequences' positions and
+//     ApplyEvents moves both counters and sequences on the replica;
 //   - users/grants kept outside table data so naive backups miss them
 //     (§4.1.5).
 package engine

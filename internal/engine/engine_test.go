@@ -587,7 +587,7 @@ func TestApplyWriteSetReplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.ApplyWriteSet(ws, ApplyOptions{}); err != nil {
+	if _, err := e2.ApplyEvents([]Event{{WriteSet: ws}}); err != nil {
 		t.Fatal(err)
 	}
 	c1, _ := e1.TableChecksum("shop", "items")
@@ -598,33 +598,23 @@ func TestApplyWriteSetReplicates(t *testing.T) {
 }
 
 func TestApplyWriteSetCounterGap(t *testing.T) {
-	// §4.3.2: write-set application does not advance auto-increment, so a
-	// later local insert on the replica collides.
+	// §4.3.2: a write set's rows name no auto-increment counter, so applying
+	// them must move the replica's counter past the applied keys, or a later
+	// local insert on the replica collides.
 	_, s1 := newTestDB(t, Config{})
-	e2, _ := newTestDB(t, Config{})
 	mustExec(t, s1, "BEGIN")
 	mustExec(t, s1, "INSERT INTO items (name) VALUES ('a')") // auto id 1
 	_, ws, err := s1.CommitWriteSet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.ApplyWriteSet(ws, ApplyOptions{}); err != nil {
+	e2, _ := newTestDB(t, Config{})
+	if _, err := e2.ApplyEvents([]Event{{WriteSet: ws}}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := e2.NewSession("local")
 	mustExec(t, s2, "USE shop")
-	_, err = s2.Exec("INSERT INTO items (name) VALUES ('local')")
-	if !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("expected duplicate key from stale counter, got %v", err)
-	}
-	// With AdvanceCounters the gap is fixed.
-	e3, _ := newTestDB(t, Config{})
-	if err := e3.ApplyWriteSet(ws, ApplyOptions{AdvanceCounters: true}); err != nil {
-		t.Fatal(err)
-	}
-	s3 := e3.NewSession("local")
-	mustExec(t, s3, "USE shop")
-	mustExec(t, s3, "INSERT INTO items (name) VALUES ('local')")
+	mustExec(t, s2, "INSERT INTO items (name) VALUES ('local')")
 }
 
 // TestCommittedImagesAreImmutable: a commit stores the transaction's row as
@@ -667,7 +657,7 @@ func TestCommittedImagesAreImmutable(t *testing.T) {
 	}
 
 	from2 := e2.Binlog().Head()
-	if _, err := e2.ApplyEvents(evs[:1], ApplyOptions{}); err != nil {
+	if _, err := e2.ApplyEvents(evs[:1]); err != nil {
 		t.Fatal(err)
 	}
 	copied := e2.databases["shop"].tables["items"].chain(0).versions[0].data
@@ -684,21 +674,53 @@ func TestCommittedImagesAreImmutable(t *testing.T) {
 }
 
 // TestApplyEventsRefusesTextOnly: an event with statements but no write
-// set (a DDL event, or a text-only recovery-log entry) is refused with
-// ErrNoWriteSet, and nothing of it is applied.
+// set (a text-only recovery-log entry) is refused with ErrNoWriteSet, and
+// nothing of it is applied; so is DML text in an event marked DDL.
 func TestApplyEventsRefusesTextOnly(t *testing.T) {
 	e, _ := newTestDB(t, Config{})
 	head := e.Binlog().Head()
-	for _, ev := range []Event{
-		{Seq: 1, Stmts: []string{"INSERT INTO items (id, name) VALUES (9, 'x')"}, Database: "shop"},
-		{Seq: 1, Stmts: []string{"CREATE TABLE more (id INT PRIMARY KEY)"}, Database: "shop", DDL: true, WriteSet: &WriteSet{}},
-	} {
-		if n, err := e.ApplyEvents([]Event{ev}, ApplyOptions{}); n != 0 || !errors.Is(err, ErrNoWriteSet) {
-			t.Fatalf("ApplyEvents(%q) = %d, %v; want 0, ErrNoWriteSet", ev.Stmts[0], n, err)
-		}
+	ev := Event{Seq: 1, Stmts: []string{"INSERT INTO items (id, name) VALUES (9, 'x')"}, Database: "shop"}
+	if n, err := e.ApplyEvents([]Event{ev}); n != 0 || !errors.Is(err, ErrNoWriteSet) {
+		t.Fatalf("ApplyEvents(%q) = %d, %v; want 0, ErrNoWriteSet", ev.Stmts[0], n, err)
+	}
+	ev.DDL, ev.WriteSet = true, &WriteSet{}
+	if n, err := e.ApplyEvents([]Event{ev}); n != 0 || err == nil {
+		t.Fatalf("ApplyEvents(%q marked DDL) = %d, %v; want 0 and an error", ev.Stmts[0], n, err)
 	}
 	if e.Binlog().Head() != head {
 		t.Fatalf("refused events were applied: binlog head %d, want %d", e.Binlog().Head(), head)
+	}
+}
+
+// TestApplyEventsDDL: a DDL event executes its statement in the origin's
+// database; a database this engine lacks fails only a statement that
+// resolves a name through it. The logged events carry the origin's user and
+// database.
+func TestApplyEventsDDL(t *testing.T) {
+	e, _ := newTestDB(t, Config{})
+	head := e.Binlog().Head()
+	evs := []Event{
+		{Seq: 7, Stmts: []string{"CREATE TABLE more (id INTEGER PRIMARY KEY NOT NULL)"}, Database: "shop", User: "origin", DDL: true, WriteSet: &WriteSet{}},
+		{Seq: 8, Stmts: []string{"CREATE DATABASE other"}, Database: "gone", User: "origin", DDL: true, WriteSet: &WriteSet{}},
+	}
+	if n, err := e.ApplyEvents(evs); n != len(evs) || err != nil {
+		t.Fatalf("ApplyEvents = %d, %v; want %d, nil", n, err, len(evs))
+	}
+	s := e.NewSession("check")
+	mustExec(t, s, "SELECT * FROM shop.more")
+	mustExec(t, s, "USE other")
+	logged, _ := e.Binlog().ReadFrom(head, 0)
+	if len(logged) != len(evs) {
+		t.Fatalf("logged %d events, want %d", len(logged), len(evs))
+	}
+	for i, ev := range logged {
+		if !ev.DDL || ev.User != evs[i].User || ev.Database != evs[i].Database || ev.Stmts[0] != evs[i].Stmts[0] {
+			t.Fatalf("logged %+v for %+v", ev, evs[i])
+		}
+	}
+	bad := Event{Seq: 9, Stmts: []string{"CREATE TABLE lost (id INT)"}, Database: "gone", DDL: true, WriteSet: &WriteSet{}}
+	if n, err := e.ApplyEvents([]Event{bad}); n != 0 || err == nil {
+		t.Fatalf("ApplyEvents(%q in a missing database) = %d, %v; want 0 and an error", bad.Stmts[0], n, err)
 	}
 }
 

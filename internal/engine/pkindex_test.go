@@ -229,7 +229,7 @@ func TestPKIndexApplyWriteSet(t *testing.T) {
 		if ev.WriteSet == nil || len(ev.WriteSet.Ops) == 0 {
 			continue
 		}
-		if err := engB.ApplyWriteSet(ev.WriteSet, ApplyOptions{}); err != nil {
+		if _, err := engB.ApplyEvents([]Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestPKIndexApplyWriteSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engB.ApplyWriteSet(ws, ApplyOptions{}); err != nil {
+	if _, err := engB.ApplyEvents([]Event{{WriteSet: ws}}); err != nil {
 		t.Fatal(err)
 	}
 	verifyPKIndex(t, engB, "d", "t")
@@ -339,7 +339,7 @@ func TestPKIndexDeleteReinsertSameKey(t *testing.T) {
 		if ev.WriteSet == nil || len(ev.WriteSet.Ops) == 0 {
 			continue
 		}
-		if err := engB.ApplyWriteSet(ev.WriteSet, ApplyOptions{}); err != nil {
+		if _, err := engB.ApplyEvents([]Event{ev}); err != nil {
 			t.Fatalf("replica apply: %v", err)
 		}
 	}
@@ -352,7 +352,7 @@ func TestPKIndexDeleteReinsertSameKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engB.ApplyWriteSet(ws, ApplyOptions{}); err != nil {
+	if _, err := engB.ApplyEvents([]Event{{WriteSet: ws}}); err != nil {
 		t.Fatalf("replica apply of delete+reinsert write-set: %v", err)
 	}
 	verifyPKIndex(t, engB, "d", "t")

@@ -65,7 +65,7 @@ func TestRowStorageObjectBudget(t *testing.T) {
 
 	evs, _ := master.Binlog().ReadFrom(from, 0)
 	base = liveObjects()
-	if n, err := slave.ApplyEvents(evs, ApplyOptions{}); err != nil || n != len(evs) {
+	if n, err := slave.ApplyEvents(evs); err != nil || n != len(evs) {
 		t.Fatalf("apply: %d of %d events: %v", n, len(evs), err)
 	}
 	perApply := float64(int64(liveObjects())-int64(base)) / rows

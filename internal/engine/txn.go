@@ -69,8 +69,8 @@ type WriteOp struct {
 // transaction-based (certification) replication. Its rows do not move
 // auto-increment counters, and sequence values handed out by NEXTVAL appear
 // in no row at all (§4.3.2); Sequences records where each sequence stood at
-// commit so an applier that opts in (ApplyOptions.AdvanceCounters) can
-// close that gap.
+// commit, and ApplyEvents moves a replica's counters and sequences to close
+// that gap.
 type WriteSet struct {
 	Ops []WriteOp
 	// Sequences lists the position at commit of every sequence NEXTVAL

@@ -279,6 +279,21 @@ func (*SetVar) IsRead() bool          { return true }
 func (*CreateUser) IsRead() bool      { return false }
 func (*Grant) IsRead() bool           { return false }
 
+// IsDDL reports whether the statement changes schema or catalog objects.
+// Such a statement has no write set, so replication ships its text (§4.3.2).
+func IsDDL(st Statement) bool {
+	switch st.(type) {
+	case *CreateDatabase, *DropDatabase,
+		*CreateTable, *DropTable,
+		*CreateSequence, *DropSequence,
+		*CreateTrigger, *DropTrigger,
+		*CreateProcedure, *DropProcedure,
+		*CreateUser, *Grant:
+		return true
+	}
+	return false
+}
+
 // Tables implementations.
 func (s *CreateTable) Tables() []string { return []string{s.Table.String()} }
 func (s *DropTable) Tables() []string   { return []string{s.Table.String()} }

@@ -207,14 +207,9 @@ func readIDSet(t *testing.T, eng *engine.Engine) map[int64]bool {
 // old master must rejoin automatically and reconverge.
 func TestEndToEndChaosMasterCrashExactLossAccounting(t *testing.T) {
 	d, err := replication.OpenDurable(replication.DurableConfig{
-		Slaves:  2,
-		Replica: replication.ReplicaConfig{
-			// Slaves pay a small apply cost so they visibly lag the burst —
-			// the §2.2 condition that makes 1-safe failover lossy.
-		},
+		Slaves: 2,
 		Cluster: replication.MasterSlaveConfig{
 			Consistency:     replication.SessionConsistent,
-			ApplyDelay:      200 * time.Microsecond,
 			FailoverTimeout: 2 * time.Second,
 		},
 		CheckpointEvery: 25,
@@ -226,6 +221,12 @@ func TestEndToEndChaosMasterCrashExactLossAccounting(t *testing.T) {
 	// Cleanup (not defer) so the wire server registered below closes first.
 	t.Cleanup(func() { d.Close() })
 	cluster := d.Cluster()
+	// Slaves pay a small apply cost so they visibly lag the burst — the
+	// §2.2 condition that makes 1-safe failover lossy. The one the monitor
+	// promotes keeps it; 200µs per client write changes nothing here.
+	for _, sl := range cluster.Slaves() {
+		sl.Degrade(0, 200*time.Microsecond)
+	}
 
 	addr := testutil.Serve(t, cluster)
 	boot, err := wire.Dial(addr, wire.DriverConfig{User: "boot"})

@@ -191,8 +191,6 @@ type (
 	Profile = engine.Profile
 	// WriteSet is a transaction's captured row changes.
 	WriteSet = engine.WriteSet
-	// ApplyOptions tunes write-set application on a replica engine.
-	ApplyOptions = engine.ApplyOptions
 )
 
 // Query result cache types (set MasterSlaveConfig.QueryCache /

@@ -19,10 +19,7 @@ func TestClusterParallelReadStress(t *testing.T) {
 	s1 := replication.NewReplica(replication.ReplicaConfig{Name: "s1"})
 	s2 := replication.NewReplica(replication.ReplicaConfig{Name: "s2"})
 	cluster := replication.NewMasterSlave(master, []*replication.Replica{s1, s2},
-		replication.MasterSlaveConfig{
-			Consistency: replication.SessionConsistent,
-			ApplyBatch:  16,
-		})
+		replication.MasterSlaveConfig{Consistency: replication.SessionConsistent})
 	defer cluster.Close()
 
 	setup := cluster.NewSession("app")
@@ -132,10 +129,7 @@ func TestClusterParallelReadStress(t *testing.T) {
 // master's state.
 func TestSlaveApplyBatching(t *testing.T) {
 	master := replication.NewReplica(replication.ReplicaConfig{Name: "m"})
-	cluster := replication.NewMasterSlave(master, nil,
-		replication.MasterSlaveConfig{
-			ApplyBatch: 16,
-		})
+	cluster := replication.NewMasterSlave(master, nil, replication.MasterSlaveConfig{})
 	defer cluster.Close()
 
 	sess := cluster.NewSession("app")
