@@ -1,6 +1,6 @@
 // Command repllint runs the project's custom static-analysis suite
-// (internal/analysis): lockedcall, rawsqltext, typederr, wallclock and
-// slotleak — one analyzer per bug class PRs 2–7 fixed by hand. See
+// (internal/analysis): lockedcall, typederr, wallclock and slotleak — one
+// analyzer per bug class that was once fixed by hand. See
 // docs/LINTING.md for each invariant and its suppression syntax.
 //
 // It has two faces, so local runs and CI cannot diverge:

@@ -422,8 +422,8 @@ func TestElasticitySoak(t *testing.T) {
 							sl.Engine().Binlog().Head(), mh)
 						evs, _ := p.Master().Engine().Binlog().ReadFrom(slHead, 4)
 						for _, ev := range evs {
-							t.Logf("      stuck event seq=%d ddl=%v stmts=%q ws=%v",
-								ev.Seq, ev.DDL, ev.Stmts, ev.WriteSet != nil)
+							t.Logf("      stuck event seq=%d ddl=%v tables=%q",
+								ev.Seq, ev.DDL, ev.Tables())
 						}
 					}
 				}

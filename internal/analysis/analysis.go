@@ -4,8 +4,6 @@
 //
 //   - lockedcall: *Locked helpers invoked without their mutex (the PR-6
 //     snapMu/assignLocked family).
-//   - rawsqltext: raw statement text crossing a process or replica boundary
-//     without sqlparse.BindParams (the PR-5 unbound-? slave-applier stall).
 //   - typederr: request-path errors that drop the typed retryable/deadline
 //     contract the database/sql driver's classification depends on (PR 7).
 //   - wallclock: wall-clock time, global randomness and map-iteration-order
@@ -78,7 +76,7 @@ type fileAnnotations struct {
 }
 
 type annotation struct {
-	key  string // e.g. "holds", "rawsql-ok"
+	key  string // e.g. "holds", "typederr-ok"
 	args string // remainder of the comment after the key
 }
 
@@ -190,7 +188,6 @@ func (p *Pass) pkgPathHasSuffix(suffixes ...string) bool {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockedCallAnalyzer,
-		RawSQLTextAnalyzer,
 		TypedErrAnalyzer,
 		WallClockAnalyzer,
 		SlotLeakAnalyzer,

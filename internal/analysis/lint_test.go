@@ -6,14 +6,6 @@ func TestLockedCall(t *testing.T) {
 	runFixture(t, LockedCallAnalyzer, "lockedcall/a")
 }
 
-func TestRawSQLText(t *testing.T) {
-	runFixture(t, RawSQLTextAnalyzer, "rawsqltext/internal/core")
-}
-
-func TestRawSQLTextOutOfScope(t *testing.T) {
-	runFixture(t, RawSQLTextAnalyzer, "rawsqltext/other")
-}
-
 func TestTypedErr(t *testing.T) {
 	runFixture(t, TypedErrAnalyzer, "typederr/internal/core")
 }

@@ -92,8 +92,7 @@ func isRequestPath(pass *Pass, fn *ast.FuncDecl) bool {
 		return true
 	}
 	if fn.Recv != nil && len(fn.Recv.List) == 1 {
-		name, _ := namedTypeName(pass.TypesInfo.Types[fn.Recv.List[0].Type].Type)
-		if isRequestPathReceiver(name) {
+		if isRequestPathReceiver(namedTypeName(pass.TypesInfo.Types[fn.Recv.List[0].Type].Type)) {
 			return true
 		}
 	}
@@ -145,4 +144,16 @@ func errorfWrapsW(call *ast.CallExpr) bool {
 		return true
 	}
 	return strings.Contains(lit.Value, "%w")
+}
+
+// namedTypeName returns the name of t's defined type after pointer
+// indirection, or "".
+func namedTypeName(t types.Type) string {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }

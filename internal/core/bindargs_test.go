@@ -2,10 +2,11 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/sqltypes"
 )
 
@@ -20,11 +21,10 @@ func intv(i int64) sqltypes.Value     { return sqltypes.NewInt(i) }
 func strv(s string) sqltypes.Value    { return sqltypes.NewString(s) }
 func floatv(f float64) sqltypes.Value { return sqltypes.NewFloat(f) }
 
-// TestMSSessionBindArgs covers args through the master-slave router. Slaves
-// apply write sets, but the binlog still records executable text with the
-// bindings inlined (not "(?)"): the recovery log replays that text, and a
-// slave's events must carry the master's so a log recorded from a promoted
-// slave replays the same statements.
+// TestMSSessionBindArgs covers args through the master-slave router. The
+// bound values must reach the master's write sets, since slaves apply the
+// row images and nothing else, and the slave must log the events the master
+// logged: same write sets, same database, and statement text for DDL only.
 func TestMSSessionBindArgs(t *testing.T) {
 	master := NewReplica(ReplicaConfig{Name: "m"})
 	slave := NewReplica(ReplicaConfig{Name: "s"})
@@ -65,15 +65,24 @@ func TestMSSessionBindArgs(t *testing.T) {
 		t.Fatalf("master logged %d events, slave %d", len(mevs), len(sevs))
 	}
 	for i, ev := range mevs {
-		if fmt.Sprint(ev.Stmts) != fmt.Sprint(sevs[i].Stmts) || ev.Database != sevs[i].Database {
-			t.Errorf("event %d: slave logged %q in %q, master %q in %q",
-				ev.Seq, sevs[i].Stmts, sevs[i].Database, ev.Stmts, ev.Database)
+		sev := sevs[i]
+		if ev.DDL != sev.DDL || ev.Database != sev.Database ||
+			fmt.Sprint(ev.Stmts) != fmt.Sprint(sev.Stmts) || !reflect.DeepEqual(ev.WriteSet, sev.WriteSet) {
+			t.Errorf("event %d: slave logged %+v, master %+v", ev.Seq, sev, ev)
 		}
-		for _, sql := range ev.Stmts {
-			if strings.Contains(sql, "?") {
-				t.Errorf("event %d records unbound text %q", ev.Seq, sql)
-			}
-		}
+	}
+	// CREATE DATABASE, CREATE TABLE, then the INSERT and the UPDATE.
+	if len(mevs) != 4 {
+		t.Fatalf("master logged %d events, want 4", len(mevs))
+	}
+	ins, upd := mevs[2].WriteSet.Ops, mevs[3].WriteSet.Ops
+	if len(ins) != 1 || ins[0].Kind != engine.WriteInsert || ins[0].PK.Int() != 1 ||
+		ins[0].After[1].Str() != "it's" || ins[0].After[2].Float() != 2.5 {
+		t.Errorf("INSERT write set = %+v, want the row (1, 'it''s', 2.5)", ins)
+	}
+	if len(upd) != 1 || upd[0].Kind != engine.WriteUpdate || upd[0].PK.Int() != 1 ||
+		upd[0].After[2].Float() != 9.75 {
+		t.Errorf("UPDATE write set = %+v, want row 1 at price 9.75", upd)
 	}
 	// Explicit transaction with args (exercises the txn replay log path).
 	mustExecC(t, sess.Exec, "BEGIN")

@@ -1089,7 +1089,7 @@ func (cs *MSSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*en
 	// rejection, and a cache hit costs no admission slot at all.
 	relaxed := cs.cons == ReadAny && cs.ms.cfg.Admission.Shedding()
 	qc := cs.ms.qc
-	if qc == nil || cs.serializable || !engine.CacheableRead(st) {
+	if qc == nil || cs.serializable || !engine.CacheableRead(st) || cs.pool.readsTemp(st) {
 		slot, err := cs.admit(cs.readClass(), deadline)
 		if err != nil {
 			return nil, err
@@ -1100,7 +1100,7 @@ func (cs *MSSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*en
 	}
 	user := cs.pool.user
 	db := cs.pool.currentDB()
-	text := st.SQL() // lint:rawsql-ok process-local query-cache key; never crosses a replica boundary
+	text := st.SQL()
 	minPos := cs.ms.cacheMinPos(cs.cons, cs.readFloor())
 	if relaxed {
 		minPos = 0

@@ -299,7 +299,7 @@ func (s *MMSession) execAutocommitWrite(st sqlparse.Statement, args []sqltypes.V
 	if sqlparse.IsDDL(st) {
 		// Write sets cannot carry DDL (§4.3.2): schema changes replicate as
 		// ordered statements.
-		return s.submit(mmTxn{DDL: st.SQL()}) // lint:rawsql-ok IsDDL-guarded: DDL statements cannot carry ? placeholders (see sqlparse/bind.go)
+		return s.submit(mmTxn{DDL: st.SQL()})
 	}
 	// The caller's admission slot covers the whole begin/execute/commit
 	// composition.
@@ -399,7 +399,7 @@ func (s *MMSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*eng
 	// stale, before spending a slot.
 	relaxed := s.cons == ReadAny && s.mm.cfg.Admission.Shedding()
 	qc := s.mm.qc
-	if qc == nil || s.serializable || !engine.CacheableRead(st) {
+	if qc == nil || s.serializable || !engine.CacheableRead(st) || s.pool.readsTemp(st) {
 		slot, err := s.admit(s.readClass(), deadline)
 		if err != nil {
 			return nil, err
@@ -410,7 +410,7 @@ func (s *MMSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*eng
 	}
 	user := s.user
 	db := s.db
-	text := st.SQL() // lint:rawsql-ok process-local query-cache key; never crosses a replica boundary
+	text := st.SQL()
 	minPos := s.mm.cacheMinPos(s.cons, s.readFloor())
 	if relaxed {
 		minPos = 0 // shedding: any cached result beats queueing for a slot

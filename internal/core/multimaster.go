@@ -240,7 +240,7 @@ func (mm *MultiMaster) applier(r *Replica, in <-chan Ordered, cert *Certifier, s
 					mm.qc.InvalidateTables(txn.WS.Tables(), ord.Seq)
 				} else {
 					mm.qc.ApplyEvent(engine.Event{
-						Seq: ord.Seq, Stmts: []string{txn.DDL}, Database: txn.Database,
+						Seq: ord.Seq, Stmts: []string{txn.DDL}, Database: txn.Database, DDL: true,
 					})
 				}
 			}

@@ -574,7 +574,7 @@ func (ps *PSession) execInTxn(st sqlparse.Statement) (*engine.Result, error) {
 	}
 	owner, buckets, ok := ownerOf(rt, st)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrCrossPartitionTxn, st.SQL()) // lint:rawsql-ok error-message rendering; text never leaves the process
+		return nil, fmt.Errorf("%w: %s", ErrCrossPartitionTxn, st.SQL())
 	}
 	if ps.txnSub == nil {
 		sub, err := ps.sub(owner)

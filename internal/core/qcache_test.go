@@ -463,3 +463,45 @@ func TestPartitionedCachedReads(t *testing.T) {
 		t.Fatalf("post-insert scatter COUNT = %d, want 31", got)
 	}
 }
+
+// TestTempTableReadsNotCached: a read that names a session's temp table
+// neither fills nor hits the cache. Writes to a temp table log no event, so
+// a cached count would never be invalidated; and the cache key (user,
+// database, text) tells neither two sessions' temp tables of one name
+// apart nor a temp table from the permanent table it shadows.
+func TestTempTableReadsNotCached(t *testing.T) {
+	qc := qcache.New(qcache.Config{})
+	ms, first := newMSCluster(t, 0, MasterSlaveConfig{Consistency: SessionConsistent, QueryCache: qc})
+	newSession := func() *MSSession {
+		s := ms.NewSession("test")
+		t.Cleanup(s.Close)
+		mustExecC(t, s.Exec, "USE shop")
+		return s
+	}
+	second, third := newSession(), newSession()
+
+	const q = "SELECT COUNT(*) FROM pick"
+	mustExecC(t, first.Exec, "CREATE TEMP TABLE pick (id INTEGER PRIMARY KEY)")
+	mustExecC(t, first.Exec, "INSERT INTO pick (id) VALUES (1)")
+	mustExecC(t, first.Exec, q)
+	mustExecC(t, first.Exec, q)
+	mustExecC(t, first.Exec, "INSERT INTO pick (id) VALUES (2)")
+	if got := mustExecC(t, first.Exec, q).Rows[0][0].Int(); got != 2 {
+		t.Errorf("count after a second insert = %d, want 2", got)
+	}
+	mustExecC(t, second.Exec, "CREATE TEMP TABLE pick (id INTEGER PRIMARY KEY)")
+	mustExecC(t, second.Exec, "INSERT INTO pick (id) VALUES (1), (2), (3)")
+	if got := mustExecC(t, second.Exec, q).Rows[0][0].Int(); got != 3 {
+		t.Errorf("second session's count = %d, want 3 (its own temp table)", got)
+	}
+	if st := qc.Stats(); st.Hits != 0 || st.Puts != 0 {
+		t.Errorf("temp-table reads used the cache: %+v", st)
+	}
+	// A third session caches a read of a permanent pick; the temp tables
+	// that shadow it must not be served that entry.
+	mustExecC(t, third.Exec, "CREATE TABLE pick (id INTEGER PRIMARY KEY)")
+	mustExecC(t, third.Exec, q)
+	if got := mustExecC(t, first.Exec, q).Rows[0][0].Int(); got != 2 {
+		t.Errorf("count under a cached permanent table of the same name = %d, want 2", got)
+	}
+}

@@ -411,6 +411,19 @@ func (p *sessionPool) setIsolation(st *sqlparse.SetIsolation) error {
 	return nil
 }
 
+// readsTemp reports whether st names a temp table of any of this client's
+// sessions (see engine.Session.ReadsTemp).
+func (p *sessionPool) readsTemp(st sqlparse.Statement) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range p.sessions {
+		if s.ReadsTemp(st) {
+			return true
+		}
+	}
+	return false
+}
+
 // drop discards the session for a replica (after failover).
 func (p *sessionPool) drop(name string) {
 	p.mu.Lock()

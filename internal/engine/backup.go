@@ -139,7 +139,7 @@ func (e *Engine) Dump(opts BackupOptions) (*Backup, error) {
 			for _, tn := range tabNames {
 				for _, tr := range d.triggers[tn] {
 					dd.Code.Triggers = append(dd.Code.Triggers,
-						"CREATE TRIGGER "+tr.Name+" AFTER "+tr.Event+" ON "+tr.Table+" DO "+tr.Body.SQL()) // lint:rawsql-ok backup stores raw text by design; trigger bodies carry no ? placeholders
+						"CREATE TRIGGER "+tr.Name+" AFTER "+tr.Event+" ON "+tr.Table+" DO "+tr.Body.SQL())
 				}
 			}
 			procNames := make([]string, 0, len(d.procedures))
@@ -184,7 +184,7 @@ func (ps *procedureSQL) SQL() string {
 	}
 	buf.WriteString(") BEGIN ")
 	for _, st := range ps.p.Body {
-		buf.WriteString(st.SQL()) // lint:rawsql-ok backup stores raw text by design; procedure bodies carry no ? placeholders
+		buf.WriteString(st.SQL())
 		buf.WriteString("; ")
 	}
 	buf.WriteString("END")
@@ -280,7 +280,7 @@ func specsFromColumns(cols []Column) []ColumnSpec {
 			Unique: c.Unique, AutoIncrement: c.AutoIncrement, NotNull: c.NotNull,
 		}
 		if c.Default != nil {
-			out[i].DefaultSQL = c.Default.SQL() // lint:rawsql-ok backup stores raw text by design; DEFAULT expressions carry no ? placeholders
+			out[i].DefaultSQL = c.Default.SQL()
 		}
 	}
 	return out

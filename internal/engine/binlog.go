@@ -5,9 +5,10 @@ import (
 )
 
 // Event is one committed transaction (or DDL statement) in the binlog: the
-// unit slaves apply and the recovery log records. A DDL event is applied by
-// executing its statement; every other event is applied from its write set,
-// and its statements are kept for the log's readers only (§4.3.2).
+// unit slaves apply and the recovery log records. A DDL event carries its one
+// statement in Stmts and is applied by executing it. Every other event
+// carries no statement text: it is applied from its write set, whose rows
+// are the values the origin computed (§4.3.2).
 type Event struct {
 	Seq      uint64 // position in the binlog, 1-based, dense
 	CommitTS uint64

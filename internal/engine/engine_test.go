@@ -501,23 +501,37 @@ func TestAccessControl(t *testing.T) {
 	}
 }
 
+// TestBinlogRecordsCommits checks what each commit logs. A DML transaction
+// and an autocommit CALL log their write set and no statement text, so no
+// reader of the binlog can replay DML text; a DDL statement logs exactly its
+// one statement.
 func TestBinlogRecordsCommits(t *testing.T) {
 	e, s := newTestDB(t, Config{})
 	head := e.Binlog().Head()
-	mustExec(t, s, "INSERT INTO items (name) VALUES ('a')")
+	mustExec(t, s, "INSERT INTO items (name) VALUES (?)", sqltypes.NewString("a"))
 	mustExec(t, s, "BEGIN")
 	mustExec(t, s, "INSERT INTO items (name) VALUES ('b')")
-	mustExec(t, s, "UPDATE items SET price = 1 WHERE name = 'b'")
+	mustExec(t, s, "UPDATE items SET price = ? WHERE name = 'b'", sqltypes.NewFloat(1))
 	mustExec(t, s, "COMMIT")
+	mustExec(t, s, "CREATE PROCEDURE restock(n) BEGIN UPDATE items SET stock = stock + n; END")
+	mustExec(t, s, "CALL restock(?)", sqltypes.NewInt(5))
 	evs, trimmed := e.Binlog().ReadFrom(head, 0)
 	if trimmed {
 		t.Fatal("trimmed")
 	}
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("events = %d, want 4", len(evs))
 	}
-	if len(evs[1].Stmts) != 2 {
-		t.Fatalf("txn stmts = %v", evs[1].Stmts)
+	for _, i := range []int{0, 1, 3} {
+		if ev := evs[i]; ev.DDL || len(ev.Stmts) != 0 || ev.WriteSet == nil || len(ev.WriteSet.Ops) == 0 {
+			t.Errorf("event %d: DDL=%v stmts=%q ws=%v; want a write set and no text", i, ev.DDL, ev.Stmts, ev.WriteSet)
+		}
+	}
+	if ev := evs[2]; !ev.DDL || len(ev.Stmts) != 1 {
+		t.Errorf("DDL event: DDL=%v stmts=%q; want exactly its one statement", ev.DDL, ev.Stmts)
+	}
+	if n := len(evs[3].WriteSet.Ops); n != 2 {
+		t.Errorf("CALL event ops = %d, want 2 (one per restocked row)", n)
 	}
 	// INSERT followed by UPDATE of the same new row coalesces into one
 	// insert op carrying the final image.

@@ -33,13 +33,6 @@ func (s *Session) dmlLocked(st sqlparse.Statement, args []sqltypes.Value, depth 
 	default:
 		err = fmt.Errorf("engine: not a DML statement: %T", st)
 	}
-	if err == nil && depth == 0 && !st.IsRead() {
-		// Record for statement-based shipping. SELECT FOR UPDATE takes
-		// locks but changes nothing, so it is not recorded.
-		if _, isSel := st.(*sqlparse.Select); !isSel {
-			tx.stmts = append(tx.stmts, recordSQL(st, args))
-		}
-	}
 	if implicit {
 		s.txn = nil
 		if err != nil {
@@ -55,23 +48,6 @@ func (s *Session) dmlLocked(st sqlparse.Statement, args []sqltypes.Value, depth 
 		}
 	}
 	return res, err
-}
-
-// recordSQL renders the executable text recorded for statement-based
-// shipping. Bound ? parameters are inlined as literals: the recorded text is
-// re-executed standalone on replicas, which have no access to this call's
-// argument vector (shipping "INSERT ... VALUES (?)" verbatim would stall
-// every slave applier on "parameter not bound").
-func recordSQL(st sqlparse.Statement, args []sqltypes.Value) string {
-	if len(args) > 0 {
-		if bound, err := sqlparse.BindParams(st, args); err == nil {
-			return bound.SQL()
-		}
-	}
-	// Unreachable placeholder case: args==0 means the statement had no ?
-	// (ExecStmtArgs enforces the count) and a bind error above implies the
-	// statement could not have executed. Raw text is safe here.
-	return st.SQL() // lint:rawsql-ok no-args statements carry no placeholders; see comment above
 }
 
 // checkTempUse enforces the Sybase-style "no temp tables inside explicit
@@ -851,7 +827,7 @@ func itemName(it sqlparse.SelectItem) string {
 	if cr, ok := it.Expr.(*sqlparse.ColumnRef); ok {
 		return cr.Name
 	}
-	return it.Expr.SQL() // lint:rawsql-ok result-set column naming; the header text never re-parses
+	return it.Expr.SQL()
 }
 
 // sortRowsLocked orders rows by the ORDER BY keys, bound in b's scope.

@@ -217,7 +217,7 @@ func (s *Session) poisonOnErrorLocked(err error) {
 }
 
 // execLocked dispatches one statement. depth > 0 for trigger/procedure
-// bodies; only depth-0 write statements are recorded for statement shipping.
+// bodies.
 func (s *Session) execLocked(st sqlparse.Statement, args []sqltypes.Value, depth int) (*Result, error) {
 	if depth > 8 {
 		return nil, fmt.Errorf("engine: trigger/procedure recursion limit exceeded")
@@ -466,6 +466,22 @@ func (s *Session) resolveDB(ref sqlparse.TableRef) (string, error) {
 	return s.currentDB, nil
 }
 
+// ReadsTemp reports whether st names one of this session's temp tables.
+// Writes to a temp table log no event, and another session sees a different
+// table under the same name, so a result cache must neither keep nor serve
+// such a read.
+func (s *Session) ReadsTemp(st sqlparse.Statement) bool {
+	if len(s.tempTables) == 0 {
+		return false
+	}
+	for _, t := range st.Tables() {
+		if _, ok := s.tempTables[t]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // lookupTableLocked resolves a table reference: session temp tables shadow
 // permanent tables when the reference is unqualified.
 func (s *Session) lookupTableLocked(ref sqlparse.TableRef) (*Table, tableKey, error) {
@@ -701,13 +717,7 @@ func (s *Session) callLocked(st *sqlparse.Call, args []sqltypes.Value, depth int
 	s.paramScope = append(s.paramScope, scope)
 	defer func() { s.paramScope = s.paramScope[:len(s.paramScope)-1] }()
 
-	// Record the CALL itself for statement shipping at depth 0; the inner
-	// statements run silently (the replica's copy of the procedure will
-	// re-execute them — including any non-determinism, §4.2.1).
-	if depth == 0 && s.txn != nil {
-		s.txn.stmts = append(s.txn.stmts, recordSQL(st, args))
-	}
-	recordCall := depth == 0 && s.txn == nil
+	autocommit := depth == 0 && s.txn == nil
 
 	var last *Result
 	runBody := func() error {
@@ -720,11 +730,10 @@ func (s *Session) callLocked(st *sqlparse.Call, args []sqltypes.Value, depth int
 		}
 		return nil
 	}
-	if recordCall {
-		// Autocommit CALL: wrap the body in one implicit transaction whose
-		// recorded statement is the CALL.
+	if autocommit {
+		// Autocommit CALL: wrap the body in one implicit transaction, so
+		// the body's writes commit as one event.
 		s.txn = s.eng.beginTxnLocked(s.iso)
-		s.txn.stmts = append(s.txn.stmts, recordSQL(st, args))
 		if err := runBody(); err != nil {
 			s.eng.rollbackLocked(s.txn)
 			s.txn = nil

@@ -152,7 +152,6 @@ type Txn struct {
 	rowLocks   []heldLock
 	tableLocks []heldTableLock
 
-	stmts   []string // executed write statements (for statement-based binlog)
 	aborted bool
 	done    bool
 	// commitSeq is the binlog position the commit landed at (set by
@@ -325,10 +324,10 @@ func (e *Engine) releaseLocksLocked(tx *Txn) {
 // set.
 //
 // origin is nil for a local commit. A replica applying another engine's
-// event passes that event instead: the commit then logs the origin's
-// statements, user, database and *WriteSet rather than building its own,
-// and logs an event even when tx changed nothing, so binlog positions stay
-// aligned one-event-one-commit with the origin.
+// event passes that event instead: the commit then logs the origin's user,
+// database and *WriteSet rather than building its own, and logs an event
+// even when tx changed nothing, so binlog positions stay aligned
+// one-event-one-commit with the origin.
 func (e *Engine) commitLocked(tx *Txn, s *Session, origin *Event) (uint64, *WriteSet, error) {
 	if tx.done {
 		return 0, nil, fmt.Errorf("engine: transaction already finished")
@@ -463,11 +462,10 @@ func (e *Engine) commitLocked(tx *Txn, s *Session, origin *Event) (uint64, *Writ
 	// Record in the binlog for replication subscribers.
 	ev := Event{CommitTS: commitTS, TxnID: tx.id}
 	if origin != nil {
-		ev.Stmts, ev.WriteSet, ev.User, ev.Database = origin.Stmts, origin.WriteSet, origin.User, origin.Database
+		ev.WriteSet, ev.User, ev.Database = origin.WriteSet, origin.User, origin.Database
 		ws = origin.WriteSet
 	} else {
 		ws.Sequences = e.takeMovedSequencesLocked()
-		ev.Stmts = append([]string(nil), tx.stmts...)
 		ev.WriteSet = ws
 		if s != nil {
 			ev.User, ev.Database = s.user, s.currentDB
@@ -482,7 +480,6 @@ func (e *Engine) rollbackBodyLocked(tx *Txn) {
 	tx.overlay = nil
 	tx.pkOv = nil
 	tx.ops = nil
-	tx.stmts = nil
 }
 
 // rollbackLocked aborts tx. Caller holds e.mu.

@@ -68,7 +68,6 @@ func (rc *RecordedConn) ExecStmtArgs(st sqlparse.Statement, args ...core.Value) 
 	// Recording the executed text (with its argument vector alongside) is
 	// the point of history capture; the checkers re-parse it in-process
 	// with the same args.
-	// lint:rawsql-ok history capture records text + args together
 	rc.observe(st.SQL(), args, res, err, start)
 	return res, err
 }

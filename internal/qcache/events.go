@@ -7,61 +7,33 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// eventDatabases names the databases an opaque event (DDL, or a write whose
-// table footprint was not captured) can have touched. It parses the event's
-// statements — CREATE/DROP DATABASE name their target explicitly, table DDL
-// carries table references — and falls back to the event's session database.
-// An empty result means "could be anything": the caller flushes everything.
+// eventDatabases names the databases a DDL event can have touched, from its
+// one statement: CREATE/DROP DATABASE name their target, table DDL names its
+// tables, and an unqualified name resolves against the event's session
+// database. An empty result means "could be anything": the caller flushes
+// everything.
 func eventDatabases(ev engine.Event) []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(db string) {
-		db = strings.ToLower(db)
-		if db != "" && !seen[db] {
-			seen[db] = true
-			out = append(out, db)
-		}
-	}
-	known := true
-	for _, sql := range ev.Stmts {
-		st, err := sqlparse.ParseCached(sql)
-		if err != nil {
-			known = false
-			continue
-		}
-		switch s := st.(type) {
-		case *sqlparse.CreateDatabase:
-			add(s.Name)
-		case *sqlparse.DropDatabase:
-			add(s.Name)
-		case *sqlparse.UseDatabase, *sqlparse.CreateUser, *sqlparse.Grant:
-			// No cached result can depend on these.
-		default:
-			named := false
-			for _, t := range st.Tables() {
-				if i := strings.IndexByte(t, '.'); i >= 0 {
-					add(t[:i])
-					named = true
-				}
-			}
-			if !named {
-				// Unqualified tables resolve against the session database.
-				if ev.Database == "" {
-					known = false
-				} else {
-					add(ev.Database)
-				}
-			}
-		}
-	}
-	if len(ev.Stmts) == 0 {
-		if ev.Database == "" {
-			return nil
-		}
-		add(ev.Database)
-	}
-	if !known {
+	if len(ev.Stmts) != 1 {
 		return nil
+	}
+	st, err := sqlparse.ParseCached(ev.Stmts[0])
+	if err != nil {
+		return nil
+	}
+	switch s := st.(type) {
+	case *sqlparse.CreateDatabase:
+		return []string{strings.ToLower(s.Name)}
+	case *sqlparse.DropDatabase:
+		return []string{strings.ToLower(s.Name)}
+	}
+	var out []string
+	for _, t := range st.Tables() {
+		if i := strings.IndexByte(t, '.'); i >= 0 {
+			out = append(out, strings.ToLower(t[:i]))
+		}
+	}
+	if len(out) == 0 && ev.Database != "" {
+		out = append(out, strings.ToLower(ev.Database))
 	}
 	return out
 }

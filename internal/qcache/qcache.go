@@ -375,23 +375,24 @@ func (s *Scope) PutAt(user, db, stmt string, binds []sqltypes.Value, tables []st
 }
 
 // ApplyEvent folds one committed binlog event into the invalidation state.
-// Events with a captured write set invalidate exactly the tables written;
-// DDL and writes with an unknown table footprint flush the affected
-// database(s) — or everything, when no database can be named.
+// A DDL event flushes the database(s) it can have touched, or everything
+// when no database can be named. Every other event invalidates exactly the
+// tables its write set names. An empty write set invalidates nothing: the
+// engine logs no event for a commit without ops, and a read that names a
+// temp table (whose writes are in no write set) bypasses the cache.
 func (s *Scope) ApplyEvent(ev engine.Event) {
-	tables := ev.Tables()
-	if ev.DDL || len(tables) == 0 {
+	if ev.DDL {
 		s.flushEventDBs(ev)
-	} else {
-		s.InvalidateTables(tables, ev.Seq)
+		s.c.invalEvents.Inc()
 		return
 	}
-	s.c.invalEvents.Inc()
+	if tables := ev.Tables(); len(tables) > 0 {
+		s.InvalidateTables(tables, ev.Seq)
+	}
 }
 
-// flushEventDBs flushes the databases an opaque (DDL or footprint-unknown)
-// event can have touched: the statement's own tables and named databases
-// when they parse, the session database otherwise.
+// flushEventDBs flushes the databases a DDL event can have touched (see
+// eventDatabases).
 func (s *Scope) flushEventDBs(ev engine.Event) {
 	dbs := eventDatabases(ev)
 	s.mu.Lock()

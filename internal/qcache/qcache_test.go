@@ -121,9 +121,16 @@ func TestUnknownFootprintFlushesDatabase(t *testing.T) {
 	s := c.NewScope()
 	s.Put("u", "shop", "q1", nil, []string{"items"}, 5, res(1))
 	s.Put("u", "crm", "q2", nil, []string{"leads"}, 5, res(2))
-	// A statement-shipped event with no captured write set and an
-	// unparseable statement: footprint unknown — flush everything.
-	s.ApplyEvent(engine.Event{Seq: 6, Database: "", Stmts: []string{"???"}})
+	// A write event whose write set is empty changed no replicated row:
+	// nothing is invalidated.
+	s.ApplyEvent(engine.Event{Seq: 6, Database: "shop", WriteSet: &engine.WriteSet{}})
+	if _, ok := s.Get("u", "shop", "q1", nil, 0); !ok {
+		t.Fatal("entry flushed by an event with an empty write set")
+	}
+	// Table DDL with no database to resolve its unqualified table against:
+	// footprint unknown — flush everything.
+	s.ApplyEvent(engine.Event{Seq: 7, DDL: true, Database: "",
+		Stmts: []string{"CREATE TABLE extras (id INTEGER PRIMARY KEY)"}})
 	if _, ok := s.Get("u", "shop", "q1", nil, 0); ok {
 		t.Fatal("entry survived an unknown-footprint flush")
 	}

@@ -11,8 +11,8 @@ import (
 // Statement is implemented by every parsed SQL statement.
 type Statement interface {
 	stmt()
-	// SQL renders the statement back to executable text (DDL shipping,
-	// recovery-log entries, cache keys).
+	// SQL renders the statement back to executable text (DDL events, cache
+	// keys).
 	SQL() string
 	// IsRead reports whether the statement only reads data.
 	IsRead() bool

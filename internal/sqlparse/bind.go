@@ -7,13 +7,11 @@ import (
 )
 
 // This file implements parameter binding at the AST level: substituting the
-// ? placeholders of a parsed statement with literal values. The routers need
-// it wherever a statement's text (not its arguments) crosses a boundary —
-// statement-based replication ships SQL text to replicas, partition routing
-// inspects literal key values, and the binlog records executable text — so a
-// parameterized statement must be rendered with its bindings inlined before
-// any of those consumers see it. The original statement is never modified:
-// parsed ASTs are shared immutably through the statement cache.
+// ? placeholders of a parsed statement with literal values. The partition and
+// WAN routers need it because they inspect literal key values, so a
+// parameterized statement must have its bindings inlined before they see it.
+// The original statement is never modified: parsed ASTs are shared
+// immutably through the statement cache.
 
 // CountParams returns the number of ? placeholders in the statement,
 // including those inside subqueries. Prepared-statement handles report it to

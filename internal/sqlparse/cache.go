@@ -148,9 +148,9 @@ func (c *StatementCache) Stats() (hits, misses uint64) {
 }
 
 // defaultCache backs ParseCached: one process-wide cache, which is exactly
-// what lets in-process replication reuse ASTs across every slave engine —
-// each distinct binlog statement text is parsed once per process, not once
-// per slave per event.
+// what lets in-process replication reuse ASTs across every replica engine —
+// each distinct DDL statement in the binlog is parsed once per process, not
+// once per replica per event.
 var defaultCache = NewStatementCache(DefaultCacheCapacity)
 
 // ParseCached parses a single SQL statement through the process-wide
