@@ -59,7 +59,7 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 100*time.Millisecond, "slow-statement threshold for admission metrics")
 	auth := flag.String("auth", "", "user:password required on connect (enables engine RequireAuth)")
 	dataDir := flag.String("data-dir", "", "recovery log directory (ms only); empty runs in-memory")
-	checkpointEvery := flag.Int("checkpoint-every", 256, "committed events between automatic checkpoint backups (<0 disables)")
+	checkpointEvery := flag.Int("checkpoint-every", 256, "take an automatic checkpoint backup at most every N committed events, and only once the log since the last checkpoint outweighs it (<0 disables)")
 	segmentEntries := flag.Int("segment-entries", 1024, "recovery log entries per segment file")
 	fsyncEvery := flag.Int("fsync-every", 64, "batch size between recovery log fsyncs (1 = every commit)")
 	groupCommit := flag.Duration("group-commit-window", 0, "commit acks wait for a recovery-log fsync, batched over this coalescing window (ms with -data-dir only; 0 keeps async fsync batching)")

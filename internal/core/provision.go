@@ -115,7 +115,8 @@ type FollowOptions struct {
 	// Poll is the recorder's binlog poll interval; zero means 200µs.
 	Poll time.Duration
 	// CheckpointEvery takes an automatic checkpoint backup (and compacts
-	// the log) every N recorded entries; zero disables automatic
+	// the log) at most every N recorded entries, and only once the log
+	// since the last checkpoint outweighs it; zero disables automatic
 	// checkpoints, leaving the log unbounded until CheckpointBackup is
 	// called manually.
 	CheckpointEvery uint64
@@ -151,8 +152,9 @@ func (p *Provisioner) Follow(rep *Replica, opts FollowOptions) {
 }
 
 // Unfollow stops the recorder (no-op when none is running), draining the
-// binlog and taking a final checkpoint when the automatic threshold was
-// crossed, so a graceful shutdown restarts via checkpoint + tail.
+// binlog and taking a final checkpoint when CheckpointEvery entries have
+// been logged since the latest one, however little they weigh, so a
+// graceful shutdown restarts via checkpoint + a short tail.
 func (p *Provisioner) Unfollow() { p.unfollow(true) }
 
 func (p *Provisioner) unfollow(finalCkpt bool) {
@@ -226,10 +228,6 @@ func (p *Provisioner) copyBatchLocked(rep *Replica) (int, error) {
 
 func (p *Provisioner) record(rep *Replica, opts FollowOptions, stop, done chan struct{}) {
 	defer close(done)
-	lastCkpt := uint64(0)
-	if _, seq, ok := p.log.LatestCheckpoint(); ok {
-		lastCkpt = seq
-	}
 	// drain copies everything the binlog has already committed; every stop
 	// path runs it, so a graceful stop never loses the tail between the
 	// last poll and the stop signal (a restart would then serve fewer rows
@@ -241,21 +239,41 @@ func (p *Provisioner) record(rep *Replica, opts FollowOptions, stop, done chan s
 			}
 		}
 	}
-	// checkpoint takes an automatic checkpoint backup (and compacts) when
-	// the configured threshold has been crossed.
-	checkpoint := func() bool {
-		head := p.log.Head()
-		if opts.CheckpointEvery == 0 || head-lastCkpt < opts.CheckpointEvery {
+	// checkpoint takes an automatic checkpoint backup once CheckpointEvery
+	// entries have been logged since the latest payload checkpoint, and the
+	// log written since it is at least as large as its payload. The bytes
+	// checkpoints write then never exceed the log they replace, and a crash
+	// recovery replays at most one snapshot's worth of log. The final
+	// checkpoint of a graceful stop skips the second test: the restart that
+	// follows would replay the tail on every replica it opens, while the
+	// checkpoint is paid for once.
+	//
+	// It then compacts the log to the latest checkpoint, whoever took it: a
+	// checkpoint taken through CheckpointBackup would otherwise leave the
+	// log below it to be read again by the next restart.
+	var compactedTo uint64
+	checkpoint := func(final bool) bool {
+		if opts.CheckpointEvery == 0 {
 			return true
 		}
-		if _, err := p.CheckpointBackup(fmt.Sprintf("auto-%d", head), rep, opts.Backup); err != nil {
-			p.setRecErr(err)
-			return false
+		head := p.log.Head()
+		_, last, _ := p.log.LatestCheckpoint()
+		if head-last >= opts.CheckpointEvery {
+			if logged, snapshot := p.log.SinceCheckpoint(); final || logged >= snapshot {
+				seq, err := p.CheckpointBackup(fmt.Sprintf("auto-%d", head), rep, opts.Backup)
+				if err != nil {
+					p.setRecErr(err)
+					return false
+				}
+				last = seq
+			}
 		}
-		lastCkpt = head
-		if _, err := p.log.Compact(); err != nil {
-			p.setRecErr(err)
-			return false
+		if last > compactedTo {
+			if _, err := p.log.Compact(); err != nil {
+				p.setRecErr(err)
+				return false
+			}
+			compactedTo = last
 		}
 		return true
 	}
@@ -265,7 +283,7 @@ func (p *Provisioner) record(rep *Replica, opts FollowOptions, stop, done chan s
 		final := p.finalCkpt
 		p.mu.Unlock()
 		if final {
-			_ = checkpoint()
+			_ = checkpoint(true)
 		}
 		_ = p.log.Sync()
 	}
@@ -289,7 +307,7 @@ func (p *Provisioner) record(rep *Replica, opts FollowOptions, stop, done chan s
 			}
 			continue
 		}
-		if !checkpoint() {
+		if !checkpoint(false) {
 			return
 		}
 	}

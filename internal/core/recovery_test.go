@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -481,4 +482,187 @@ func TestResyncRefusesTextOnlyEntries(t *testing.T) {
 		t.Fatalf("refused resync applied through %d (binlog head %d), want nothing",
 			rep.AppliedSeq(), rep.Engine().Binlog().Head())
 	}
+}
+
+// recordBytes is the size the disk log's records of evs take: one fresh
+// gob stream per event behind an 8-byte length and checksum header.
+func recordBytes(t *testing.T, evs []engine.Event) int64 {
+	t.Helper()
+	var n int64
+	for _, e := range evs {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(e); err != nil {
+			t.Fatal(err)
+		}
+		n += 8 + int64(buf.Len())
+	}
+	return n
+}
+
+// autoCheckpoints lists the recorder's automatic checkpoints by position.
+func autoCheckpoints(log *recoverylog.Log) []string {
+	var out []string
+	for _, name := range log.Checkpoints() {
+		if strings.HasPrefix(name, "auto-") {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// checkCadence asserts the recorder checkpointed no more often than the log
+// paid for: after the first automatic checkpoint, each further one needs at
+// least a payload's worth of records logged since the one before it.
+func checkCadence(t *testing.T, log *recoverylog.Log, master *Replica) {
+	t.Helper()
+	autos := autoCheckpoints(log)
+	if len(autos) < 2 {
+		t.Fatalf("recorder took %d automatic checkpoints, want at least 2", len(autos))
+	}
+	first, _ := log.CheckpointSeq(autos[0])
+	evs, _ := master.Engine().Binlog().ReadFrom(first, 0)
+	logged := recordBytes(t, evs)
+	var payload int64
+	for _, name := range autos {
+		p, ok := log.CheckpointPayload(name)
+		if !ok {
+			t.Fatalf("automatic checkpoint %s has no payload", name)
+		}
+		if payload == 0 || int64(len(p)) < payload {
+			payload = int64(len(p))
+		}
+	}
+	bound := 1 + (logged+payload-1)/payload
+	t.Logf("%d automatic checkpoints; %d B logged since the first, payload %d B: bound %d",
+		len(autos), logged, payload, bound)
+	if int64(len(autos)) > bound {
+		t.Fatalf("%d automatic checkpoints for %d B of log against a %d B payload; want at most %d",
+			len(autos), logged, payload, bound)
+	}
+}
+
+// loadAndUpdate loads rows rows in one transaction, then runs updates
+// one-row UPDATEs, each its own commit, waiting for the recorder to log
+// each one: a recorder that lags a whole run behind catches up inside one
+// checkpoint, and the cadence would then depend on the scheduler.
+func loadAndUpdate(t *testing.T, sess *MSSession, prov *Provisioner, master *Replica, rows, updates int) {
+	t.Helper()
+	mustExecC(t, sess.Exec, "BEGIN")
+	for i := 1; i <= rows; i++ {
+		mustExecC(t, sess.Exec, fmt.Sprintf("INSERT INTO items (id, name, stock) VALUES (%d, 'item-%d', %d)", i, i, i))
+	}
+	mustExecC(t, sess.Exec, "COMMIT")
+	for i := 0; i < updates; i++ {
+		mustExecC(t, sess.Exec, fmt.Sprintf("UPDATE items SET stock = stock + 1 WHERE id = %d", 1+i*7%rows))
+		waitRecorded(t, prov, master)
+	}
+}
+
+// TestRecorderCheckpointCadenceFollowsLog: with CheckpointEvery 16 the
+// recorder may checkpoint every 16 entries, but takes one only once the log
+// since the last checkpoint outweighs that checkpoint's payload; a commit
+// count alone would snapshot the whole table every 16 one-row UPDATEs. The
+// log reopens with every acknowledged row, and a recorder restarted on it
+// weighs the reloaded tail the same way instead of checkpointing after 16
+// more entries.
+func TestRecorderCheckpointCadenceFollowsLog(t *testing.T) {
+	const (
+		rows    = 1000
+		updates = 400
+	)
+	fopts := FollowOptions{CheckpointEvery: 16}
+	t.Run("memory", func(t *testing.T) {
+		ms, sess, prov := newRecordedCluster(t, fopts)
+		loadAndUpdate(t, sess, prov, ms.Master(), rows, updates)
+		checkCadence(t, prov.Log(), ms.Master())
+	})
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		log, err := recoverylog.Open(dir, recoverylog.Options{SegmentEntries: 64, FsyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, sess := newMSCluster(t, 0, MasterSlaveConfig{ReadFromMaster: true})
+		prov := NewProvisioner(log)
+		prov.Follow(ms.Master(), fopts)
+		loadAndUpdate(t, sess, prov, ms.Master(), rows, updates)
+		checkCadence(t, log, ms.Master())
+
+		// Leave a short tail behind an explicit checkpoint, so the restart
+		// below starts with a known, small weight of log.
+		if _, err := prov.CheckpointBackup("snap", ms.Master(), FaithfulBackup); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 8; i++ {
+			mustExecC(t, sess.Exec, fmt.Sprintf("UPDATE items SET stock = stock * 2 WHERE id = %d", i))
+		}
+		waitRecorded(t, prov, ms.Master())
+		prov.Unfollow()
+		tail, payload := log.SinceCheckpoint()
+		if tail == 0 || tail >= payload {
+			t.Fatalf("before the restart %d B were logged since a %d B checkpoint; want a short tail", tail, payload)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		reopened, err := recoverylog.Open(dir, recoverylog.Options{SegmentEntries: 64, FsyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Close()
+		if gotTail, gotPayload := reopened.SinceCheckpoint(); gotTail != tail || gotPayload != payload {
+			t.Fatalf("reopened log weighs %d B since a %d B checkpoint, want %d B since %d B",
+				gotTail, gotPayload, tail, payload)
+		}
+		master := NewReplica(ReplicaConfig{Name: "restarted"})
+		prov2 := NewProvisioner(reopened)
+		if _, err := prov2.ResyncAuto(master, ResyncOptions{BatchWait: 5 * time.Millisecond}, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		checkConverged(t, []*Replica{ms.Master(), master}, "shop")
+
+		ms2 := NewMasterSlave(master, nil, MasterSlaveConfig{ReadFromMaster: true})
+		t.Cleanup(ms2.Close)
+		sess2 := ms2.NewSession("test")
+		t.Cleanup(sess2.Close)
+		mustExecC(t, sess2.Exec, "USE shop")
+		prov2.Follow(master, fopts)
+		t.Cleanup(prov2.Unfollow)
+		autos := len(autoCheckpoints(reopened))
+		update := 0
+		step := func() {
+			update++
+			mustExecC(t, sess2.Exec, fmt.Sprintf("UPDATE items SET stock = stock - 1 WHERE id = %d", 1+update*13%rows))
+			waitRecorded(t, prov2, master)
+		}
+		// Well past CheckpointEvery entries, but short of the payload: no
+		// checkpoint may be taken.
+		for len(autoCheckpoints(reopened)) == autos {
+			if logged, _ := reopened.SinceCheckpoint(); logged+2048 >= payload {
+				break
+			}
+			step()
+		}
+		if got := len(autoCheckpoints(reopened)); got != autos {
+			t.Fatalf("restarted recorder checkpointed after %d updates, with the log short of its %d B payload", update, payload)
+		}
+		if update <= 2*int(fopts.CheckpointEvery) {
+			t.Fatalf("only %d updates fit below the payload; the check needs more than %d", update, 2*fopts.CheckpointEvery)
+		}
+		// Past the payload the rule holds, and the recorder checkpoints
+		// within a recorder pass of it.
+		for len(autoCheckpoints(reopened)) == autos {
+			if update > 4000 {
+				t.Fatalf("restarted recorder never checkpointed in %d updates against a %d B payload", update, payload)
+			}
+			step()
+		}
+		if got := len(autoCheckpoints(reopened)); got != autos+1 {
+			t.Fatalf("restarted recorder took %d automatic checkpoints once the log outweighed the payload, want 1", got-autos)
+		}
+		if err := prov2.RecorderErr(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -84,8 +84,11 @@ type Backup struct {
 
 // Dump takes a consistent snapshot at the current commit timestamp. It
 // holds the engine lock as a reader, so it blocks writers for the dump's
-// copying time but runs alongside other read-only statements — a hot
-// backup.
+// time but runs alongside other read-only statements — a hot backup. The
+// backup's rows are the committed row images themselves, not copies: a
+// committed image is never written again (a later UPDATE stores a new one),
+// so the backup keeps the rows it was taken with. Its readers must not
+// modify them.
 func (e *Engine) Dump(opts BackupOptions) (*Backup, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -109,9 +112,10 @@ func (e *Engine) Dump(opts BackupOptions) (*Backup, error) {
 		for _, tn := range d.TableNames() {
 			t := d.tables[tn]
 			td := TableDump{Name: tn, Columns: specsFromColumns(t.Columns)}
+			td.Rows = make([]sqltypes.Row, 0, len(t.rowOrder))
 			for _, id := range t.rowOrder {
 				if v := t.chain(id).visible(ts); v != nil {
-					td.Rows = append(td.Rows, v.data.Clone())
+					td.Rows = append(td.Rows, v.data)
 				}
 			}
 			if opts.IncludeSequences {

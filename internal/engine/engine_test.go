@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -845,6 +846,59 @@ func TestBackupConsistentUnderConcurrentWrites(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestDumpSharesCommittedRows: a dump hands out the committed row images
+// rather than copies, which is safe because a committed image is never
+// written again (TestCommittedImagesAreImmutable). A backup taken before an
+// UPDATE and a DELETE still holds the old rows after both, and dumping a
+// table costs allocations per table, not per row.
+func TestDumpSharesCommittedRows(t *testing.T) {
+	e, s := newTestDB(t, Config{})
+	mustExec(t, s, "INSERT INTO items (id, name, stock) VALUES (1, 'a', 1), (2, 'b', 2), (3, 'c', 3)")
+	b, err := e.Dump(BackupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := b.Databases[0].Tables[0].Rows
+	stored := e.databases["shop"].tables["items"].chain(0).versions[0].data
+	if &rows[0][0] != &stored[0] {
+		t.Fatal("the dump copied a committed row instead of sharing it")
+	}
+	before := make([]sqltypes.Row, len(rows))
+	for i, r := range rows {
+		before[i] = r.Clone()
+	}
+	mustExec(t, s, "UPDATE items SET name = 'z', stock = 9 WHERE id = 1")
+	mustExec(t, s, "DELETE FROM items WHERE id = 2")
+	if len(rows) != 3 {
+		t.Fatalf("backup holds %d rows, want 3", len(rows))
+	}
+	for i := range rows {
+		if !rowsEqual(rows[i], before[i]) {
+			t.Fatalf("backup row %d changed to %v by later writes, was %v", i, rows[i], before[i])
+		}
+	}
+	if after, _ := e.Dump(BackupOptions{}); len(after.Databases[0].Tables[0].Rows) != 2 {
+		t.Fatalf("a dump after the DELETE holds %d rows, want 2", len(after.Databases[0].Tables[0].Rows))
+	}
+
+	const n = 10000
+	for i := 3; i < n; i += 500 {
+		var vals []string
+		for id := i + 1; id <= i+500 && id <= n; id++ {
+			vals = append(vals, fmt.Sprintf("(%d, 'r%d', %d)", id, id, id))
+		}
+		mustExec(t, s, "INSERT INTO items (id, name, stock) VALUES "+strings.Join(vals, ", "))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := e.Dump(BackupOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 50 {
+		t.Fatalf("Dump of a %d-row table made %.0f allocations, want at most 50", n-1, allocs)
+	}
 }
 
 func TestParamBinding(t *testing.T) {

@@ -72,18 +72,25 @@ func segPath(dir string, first uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", segPrefix, first, segSuffix))
 }
 
-// openStore loads (or initializes) a log directory. It returns the retained
-// entries, the compaction base, and the checkpoint set. A torn record at the
+// loaded is what openStore found in a log directory.
+type loaded struct {
+	entries []engine.Event // retained entries, in order
+	ends    []int64        // ends[i]: size of the records of entries[:i+1]
+	base    uint64         // the compaction base
+	ckpts   map[string]*checkpointRec
+}
+
+// openStore loads (or initializes) a log directory. A torn record at the
 // tail of the last segment is truncated away; corruption anywhere else is an
 // error.
-func openStore(dir string, opts Options) (*diskStore, []engine.Event, uint64, map[string]*checkpointRec, error) {
+func openStore(dir string, opts Options) (*diskStore, loaded, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, nil, fmt.Errorf("recoverylog: open %s: %w", dir, err)
+		return nil, loaded{}, fmt.Errorf("recoverylog: open %s: %w", dir, err)
 	}
 	names, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, 0, nil, fmt.Errorf("recoverylog: open %s: %w", dir, err)
+		return nil, loaded{}, fmt.Errorf("recoverylog: open %s: %w", dir, err)
 	}
 	var segFiles []string
 	for _, de := range names {
@@ -96,28 +103,30 @@ func openStore(dir string, opts Options) (*diskStore, []engine.Event, uint64, ma
 
 	st := &diskStore{dir: dir, opts: opts}
 	var entries []engine.Event
+	var ends []int64 // running total of the record sizes
+	var total int64
 	var base uint64
 	baseSet := false
 	for i, name := range segFiles {
 		path := filepath.Join(dir, name)
 		first, perr := parseSegName(name)
 		if perr != nil {
-			return nil, nil, 0, nil, perr
+			return nil, loaded{}, perr
 		}
-		segEntries, goodBytes, rerr := readSegment(path)
+		segEntries, segSizes, goodBytes, rerr := readSegment(path)
 		last := i == len(segFiles)-1
 		if rerr != nil {
 			if !last {
-				return nil, nil, 0, nil, fmt.Errorf("recoverylog: segment %s: %w", name, rerr)
+				return nil, loaded{}, fmt.Errorf("recoverylog: segment %s: %w", name, rerr)
 			}
 			// Torn tail of the final segment: keep the good prefix, drop the
 			// rest. The entries beyond it were never acknowledged as synced.
 			if terr := os.Truncate(path, goodBytes); terr != nil {
-				return nil, nil, 0, nil, fmt.Errorf("recoverylog: heal %s: %w", name, terr)
+				return nil, loaded{}, fmt.Errorf("recoverylog: heal %s: %w", name, terr)
 			}
 		}
 		if len(segEntries) > 0 && segEntries[0].Seq != first {
-			return nil, nil, 0, nil, fmt.Errorf("recoverylog: segment %s starts at seq %d, want %d",
+			return nil, loaded{}, fmt.Errorf("recoverylog: segment %s starts at seq %d, want %d",
 				name, segEntries[0].Seq, first)
 		}
 		if !baseSet {
@@ -127,25 +136,29 @@ func openStore(dir string, opts Options) (*diskStore, []engine.Event, uint64, ma
 		want := base + uint64(len(entries)) + 1
 		for _, e := range segEntries {
 			if e.Seq != want {
-				return nil, nil, 0, nil, fmt.Errorf("recoverylog: segment %s: seq %d breaks contiguity (want %d)",
+				return nil, loaded{}, fmt.Errorf("recoverylog: segment %s: seq %d breaks contiguity (want %d)",
 					name, e.Seq, want)
 			}
 			want++
 		}
 		entries = append(entries, segEntries...)
+		for _, n := range segSizes {
+			total += int64(n)
+			ends = append(ends, total)
+		}
 		st.segs = append(st.segs, segMeta{first: first, count: len(segEntries), path: path})
 	}
 	// Drop empty trailing segments left by a crash between create and write.
 	for len(st.segs) > 0 && st.segs[len(st.segs)-1].count == 0 {
 		s := st.segs[len(st.segs)-1]
 		if err := os.Remove(s.path); err != nil {
-			return nil, nil, 0, nil, fmt.Errorf("recoverylog: remove empty %s: %w", s.path, err)
+			return nil, loaded{}, fmt.Errorf("recoverylog: remove empty %s: %w", s.path, err)
 		}
 		st.segs = st.segs[:len(st.segs)-1]
 	}
 	ckpts, err := loadCheckpoints(filepath.Join(dir, ckptFile))
 	if err != nil {
-		return nil, nil, 0, nil, err
+		return nil, loaded{}, err
 	}
 	head := base + uint64(len(entries))
 	// A payload checkpoint ahead of every surviving entry means the entry
@@ -161,9 +174,9 @@ func openStore(dir string, opts Options) (*diskStore, []engine.Event, uint64, ma
 	}
 	if rebase != nil {
 		if err := st.reset(); err != nil {
-			return nil, nil, 0, nil, err
+			return nil, loaded{}, err
 		}
-		entries = nil
+		entries, ends = nil, nil
 		base = rebase.Seq
 		head = base
 	}
@@ -174,7 +187,7 @@ func openStore(dir string, opts Options) (*diskStore, []engine.Event, uint64, ma
 			delete(ckpts, name)
 		}
 	}
-	return st, entries, base, ckpts, nil
+	return st, loaded{entries: entries, ends: ends, base: base, ckpts: ckpts}, nil
 }
 
 func parseSegName(name string) (uint64, error) {
@@ -187,37 +200,40 @@ func parseSegName(name string) (uint64, error) {
 }
 
 // readSegment decodes a segment file. It returns the entries decoded, the
-// byte offset of the end of the last good record, and an error when the file
-// ends in (or contains) a record that does not check out.
-func readSegment(path string) ([]engine.Event, int64, error) {
+// size of each one's record, the byte offset of the end of the last good
+// record, and an error when the file ends in (or contains) a record that
+// does not check out.
+func readSegment(path string) ([]engine.Event, []int, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	var entries []engine.Event
+	var sizes []int
 	var off int64
 	for int(off) < len(data) {
 		rest := data[off:]
 		if len(rest) < recHeader {
-			return entries, off, fmt.Errorf("torn record header at offset %d", off)
+			return entries, sizes, off, fmt.Errorf("torn record header at offset %d", off)
 		}
 		length := binary.LittleEndian.Uint32(rest[0:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
 		if length == 0 || length > maxRecord || int(length) > len(rest)-recHeader {
-			return entries, off, fmt.Errorf("torn or oversized record (%d bytes) at offset %d", length, off)
+			return entries, sizes, off, fmt.Errorf("torn or oversized record (%d bytes) at offset %d", length, off)
 		}
 		payload := rest[recHeader : recHeader+int(length)]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return entries, off, fmt.Errorf("checksum mismatch at offset %d", off)
+			return entries, sizes, off, fmt.Errorf("checksum mismatch at offset %d", off)
 		}
 		var e engine.Event
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-			return entries, off, fmt.Errorf("undecodable record at offset %d: %v", off, err)
+			return entries, sizes, off, fmt.Errorf("undecodable record at offset %d: %v", off, err)
 		}
 		entries = append(entries, e)
+		sizes = append(sizes, recHeader+int(length))
 		off += recHeader + int64(length)
 	}
-	return entries, off, nil
+	return entries, sizes, off, nil
 }
 
 func encodeRecord(e engine.Event) ([]byte, error) {
@@ -232,27 +248,45 @@ func encodeRecord(e engine.Event) ([]byte, error) {
 	return rec, nil
 }
 
+// recordSize is the size encodeRecord's record of e has, without building
+// it. A memory-only log measures itself with it in the disk store's unit.
+func recordSize(e engine.Event) (int, error) {
+	var n byteCounter
+	if err := gob.NewEncoder(&n).Encode(e); err != nil {
+		return 0, err
+	}
+	return recHeader + int(n), nil
+}
+
+// byteCounter is an io.Writer that keeps only the number of bytes written.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
 // appendEntry writes one entry, rotating segments as configured and
-// fsyncing every opts.FsyncEvery appends.
-func (st *diskStore) appendEntry(e engine.Event) error {
+// fsyncing every opts.FsyncEvery appends. It returns the record's size.
+func (st *diskStore) appendEntry(e engine.Event) (int, error) {
 	if st.active == nil || st.segs[len(st.segs)-1].count >= st.opts.SegmentEntries {
 		if err := st.rotate(e.Seq); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	rec, err := encodeRecord(e)
 	if err != nil {
-		return fmt.Errorf("recoverylog: encode entry %d: %w", e.Seq, err)
+		return 0, fmt.Errorf("recoverylog: encode entry %d: %w", e.Seq, err)
 	}
 	if _, err := st.active.Write(rec); err != nil {
-		return fmt.Errorf("recoverylog: append entry %d: %w", e.Seq, err)
+		return 0, fmt.Errorf("recoverylog: append entry %d: %w", e.Seq, err)
 	}
 	st.segs[len(st.segs)-1].count++
 	st.pending++
 	if st.pending >= st.opts.FsyncEvery {
-		return st.sync()
+		return len(rec), st.sync()
 	}
-	return nil
+	return len(rec), nil
 }
 
 // rotate syncs and closes the active segment and opens a new one whose

@@ -378,3 +378,71 @@ func TestDiskLogSurvivesManyReopenCycles(t *testing.T) {
 		}
 	}
 }
+
+// TestSinceCheckpointWeighsRecordsAboveLatestPayload: SinceCheckpoint
+// counts the disk records above the latest payload checkpoint, the same in
+// memory mode, and keeps the count across compaction, reload and a tail
+// truncation; a checkpoint taken below the head leaves the records above
+// it counted.
+func TestSinceCheckpointWeighsRecordsAboveLatestPayload(t *testing.T) {
+	// through[n] is the size of the records of entries 1..n.
+	through := make([]int64, 13)
+	for i := 1; i < len(through); i++ {
+		e := updateEvent(i)
+		e.Seq = uint64(i)
+		rec, err := encodeRecord(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		through[i] = through[i-1] + int64(len(rec))
+	}
+	check := func(l *Log, wantLogged, wantSnapshot int64) {
+		t.Helper()
+		if logged, snapshot := l.SinceCheckpoint(); logged != wantLogged || snapshot != wantSnapshot {
+			t.Fatalf("SinceCheckpoint() = %d, %d; want %d, %d", logged, snapshot, wantLogged, wantSnapshot)
+		}
+	}
+	dir := t.TempDir()
+	disk, err := Open(dir, Options{SegmentEntries: 4, FsyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := New()
+	for _, l := range []*Log{disk, mem} {
+		appendN(t, l, 1, 10)
+		check(l, through[10], 0)
+		l.CheckpointAt("position-only", 9)
+		if err := l.AddCheckpoint("snap", 6, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		check(l, through[10]-through[6], 100)
+		if _, err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		check(l, through[10]-through[6], 100)
+	}
+	if disk.CompactedThrough() == 0 || mem.CompactedThrough() == 0 {
+		t.Fatalf("nothing compacted: disk through %d, memory through %d", disk.CompactedThrough(), mem.CompactedThrough())
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	disk, err = Open(dir, Options{SegmentEntries: 4, FsyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for _, l := range []*Log{disk, mem} {
+		check(l, through[10]-through[6], 100)
+		appendN(t, l, 11, 2)
+		check(l, through[12]-through[6], 100)
+		if err := l.TruncateTail(8); err != nil {
+			t.Fatal(err)
+		}
+		check(l, through[8]-through[6], 100)
+		if err := l.ResetTo(20); err != nil {
+			t.Fatal(err)
+		}
+		check(l, 0, 0)
+	}
+}

@@ -51,6 +51,9 @@ type Log struct {
 	pins        map[string]uint64 // in-flight replays -> replay position
 	store       *diskStore        // nil in memory-only mode
 	ioErr       error             // first storage failure, sticky
+	// ends[i] is the size of the records of entries[:i+1], counted as the
+	// disk store frames them, in memory mode too (see SinceCheckpoint).
+	ends []int64
 }
 
 // New creates an empty in-memory log.
@@ -68,14 +71,15 @@ func New() *Log {
 // its commit acknowledgement (never sent) promised. Corruption anywhere
 // else is reported as an error, never a panic.
 func Open(dir string, opts Options) (*Log, error) {
-	store, entries, base, ckpts, err := openStore(dir, opts)
+	store, ld, err := openStore(dir, opts)
 	if err != nil {
 		return nil, err
 	}
 	l := New()
-	l.entries = entries
-	l.base = base
-	l.checkpoints = ckpts
+	l.entries = ld.entries
+	l.ends = ld.ends
+	l.base = ld.base
+	l.checkpoints = ld.ckpts
 	l.store = store
 	return l, nil
 }
@@ -139,11 +143,16 @@ func (l *Log) Append(ev engine.Event) (uint64, error) {
 	defer l.mu.Unlock()
 	ev.Seq = l.base + uint64(len(l.entries)) + 1
 	l.entries = append(l.entries, ev)
+	var size int
 	if l.store != nil {
-		if err := l.store.appendEntry(ev); err != nil && l.ioErr == nil {
+		var err error
+		if size, err = l.store.appendEntry(ev); err != nil && l.ioErr == nil {
 			l.ioErr = err
 		}
+	} else {
+		size, _ = recordSize(ev) // an event gob cannot encode weighs nothing
 	}
+	l.ends = append(l.ends, l.bytesThroughLocked(ev.Seq-1)+int64(size))
 	return ev.Seq, l.ioErr
 }
 
@@ -206,14 +215,39 @@ func (l *Log) CheckpointAt(name string, seq uint64) {
 
 // AddCheckpoint records a named position together with its snapshot payload
 // (an encoded engine backup). Payload checkpoints are the clone bases
-// compaction retains and ResyncAuto restores from.
+// compaction retains and ResyncAuto restores from. The log takes ownership
+// of payload: the caller must not modify it afterwards.
 func (l *Log) AddCheckpoint(name string, seq uint64, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.addCheckpointLocked(&checkpointRec{
-		Name: name, Seq: seq, Payload: append([]byte(nil), payload...),
-	})
+	l.addCheckpointLocked(&checkpointRec{Name: name, Seq: seq, Payload: payload})
 	return l.ioErr
+}
+
+// SinceCheckpoint reports the size of the records above the latest payload
+// checkpoint, and the size of that checkpoint's payload (with no payload
+// checkpoint, the size of every retained record, and 0). Records are
+// counted as the disk store frames them, in memory mode too, so one rule
+// can weigh the log against its snapshot.
+func (l *Log) SinceCheckpoint() (logged, snapshot int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	head := l.base + uint64(len(l.entries))
+	logged = l.bytesThroughLocked(head)
+	if name, seq, ok := l.pickCheckpointLocked(^uint64(0)); ok {
+		snapshot = int64(len(l.checkpoints[name].Payload))
+		logged -= l.bytesThroughLocked(min(seq, head))
+	}
+	return logged, snapshot
+}
+
+// bytesThroughLocked returns the size of the retained records at or below
+// seq.
+func (l *Log) bytesThroughLocked(seq uint64) int64 {
+	if seq <= l.base {
+		return 0
+	}
+	return l.ends[seq-l.base-1]
 }
 
 func (l *Log) addCheckpointLocked(c *checkpointRec) {
@@ -385,6 +419,11 @@ func (l *Log) Compact() (int, error) {
 		dropped = len(l.entries)
 	}
 	l.entries = append([]engine.Event(nil), l.entries[dropped:]...)
+	ends := make([]int64, len(l.ends)-dropped)
+	for i := range ends {
+		ends[i] = l.ends[dropped+i] - l.ends[dropped-1]
+	}
+	l.ends = ends
 	l.base = floor
 	return dropped, nil
 }
@@ -404,6 +443,7 @@ func (l *Log) TruncateTail(to uint64) error {
 		return fmt.Errorf("%w: truncate to %d, compacted through %d", ErrCompacted, to, l.base)
 	}
 	l.entries = append([]engine.Event(nil), l.entries[:to-l.base]...)
+	l.ends = append([]int64(nil), l.ends[:to-l.base]...)
 	changedCkpt := false
 	for name, c := range l.checkpoints {
 		if c.Seq > to {
@@ -440,7 +480,7 @@ func (l *Log) TruncateTail(to uint64) error {
 func (l *Log) ResetTo(base uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries = nil
+	l.entries, l.ends = nil, nil
 	l.base = base
 	l.checkpoints = make(map[string]*checkpointRec)
 	if l.store != nil {

@@ -157,16 +157,33 @@ func runPipelined(window int) func(st *Stmt, ops int) error {
 // flight, on the same connections, codec and PK-lookup workload. On an idle
 // 2-core host the ratio measures 2.0-2.2x, so the floor leaves ~20% for
 // scheduler noise. Best-of-three rounds on each side.
+//
+// The race detector slows the serial and the pipelined path by different
+// factors, so under -race the time ratio says nothing about pipelining.
+// There the test checks instead what pipelining does at the server: it
+// holds at least 8 requests of one connection at once, where a client
+// with one request in flight never gives it more than 1.
 func TestWirePipelinedThroughputThreshold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	srv := preparedBenchServer(t)
 	const (
-		clients = 64
-		ops     = 150
-		floor   = 1.6
+		clients  = 64
+		ops      = 150
+		floor    = 1.6
+		minDepth = 8
 	)
+	if raceEnabled {
+		wireFleetThroughput(t, srv, clients, ops, runPipelined(32))
+		depth := srv.depth.Load()
+		t.Logf("%d clients x %d ops, window 32: the server held up to %d requests of one connection (floor %d)",
+			clients, ops, depth, minDepth)
+		if depth < minDepth {
+			t.Fatalf("the server held at most %d requests of one connection at once, want at least %d", depth, minDepth)
+		}
+		return
+	}
 	// Warm both paths: connections, statement cache, PK index.
 	wireFleetThroughput(t, srv, 8, 40, runSerial)
 	wireFleetThroughput(t, srv, 8, 40, runPipelined(32))

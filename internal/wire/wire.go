@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sqltypes"
@@ -178,6 +179,21 @@ type Server struct {
 	rejected uint64
 	closed   bool
 	wg       sync.WaitGroup
+
+	// depth is the most requests of one connection the server has held at
+	// once: the one executing plus those queued behind it. It stays at 1
+	// unless clients pipeline.
+	depth atomic.Int64
+}
+
+// noteDepth raises the recorded pipeline depth to n.
+func (s *Server) noteDepth(n int64) {
+	for {
+		cur := s.depth.Load()
+		if n <= cur || s.depth.CompareAndSwap(cur, n) {
+			return
+		}
+	}
 }
 
 // ServerOption customizes a Server.
@@ -431,7 +447,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		defer close(resps)
 		ss := newServerSession(s.backend)
 		defer ss.close()
+		var depth int64
 		for j := range jobs {
+			if n := int64(len(jobs)) + 1; n > depth {
+				depth = n
+				s.noteDepth(n)
+			}
 			resp, ok := ss.handle(int(j.op), &j.req)
 			if !ok {
 				// Unknown op: stop executing. Closing the conn errors the

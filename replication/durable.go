@@ -53,7 +53,8 @@ type DurableConfig struct {
 	// Cluster configures the master-slave controller.
 	Cluster MasterSlaveConfig
 	// CheckpointEvery takes an automatic checkpoint backup and compacts
-	// the log every N committed events; zero means 256, negative disables.
+	// the log at most every N committed events, and only once the log since
+	// the last checkpoint outweighs it; zero means 256, negative disables.
 	CheckpointEvery int
 	// MonitorInterval is the health poll / failure detection bound; zero
 	// means 10 ms.
