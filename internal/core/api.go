@@ -133,19 +133,19 @@ var (
 // parser. Like the connection it came from, a Stmt is not safe for
 // concurrent use.
 type Stmt struct {
-	conn Conn
-	st   sqlparse.Statement
-	sql  string
-	n    int // number of ? placeholders
+	x   executor
+	st  sqlparse.Statement
+	sql string
+	n   int // number of ? placeholders
 }
 
-// newStmt builds a prepared handle for any Conn implementation.
-func newStmt(c Conn, sql string) (*Stmt, error) {
+// newStmt builds a prepared handle executing through x.
+func newStmt(x executor, sql string) (*Stmt, error) {
 	st, err := sqlparse.ParseCached(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{conn: c, st: st, sql: sql, n: sqlparse.CountParams(st)}, nil
+	return &Stmt{x: x, st: st, sql: sql, n: sqlparse.CountParams(st)}, nil
 }
 
 // NewStmt builds a prepared handle bound to an arbitrary Conn
@@ -156,12 +156,12 @@ func NewStmt(c Conn, sql string) (*Stmt, error) { return newStmt(c, sql) }
 
 // Exec routes the prepared statement with the given bind arguments.
 func (s *Stmt) Exec(args ...Value) (*engine.Result, error) {
-	return s.conn.ExecStmtArgs(s.st, args...)
+	return s.x.ExecStmtArgs(s.st, args...)
 }
 
 // Query is Exec under a read-intent name.
 func (s *Stmt) Query(args ...Value) (*engine.Result, error) {
-	return s.conn.ExecStmtArgs(s.st, args...)
+	return s.x.ExecStmtArgs(s.st, args...)
 }
 
 // NumInput returns the number of ? placeholders.

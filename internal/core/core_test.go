@@ -412,7 +412,6 @@ func newMMCluster(t *testing.T, n int, cfg MultiMasterConfig) (*MultiMaster, []*
 			t.Fatal(err)
 		}
 		sessions[i] = s
-		s.db = "shop"
 		if err := s.pool.setDB("shop"); err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/recoverylog"
+	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 )
 
@@ -15,6 +16,12 @@ func sqlInt(i int64) sqltypes.Value  { return sqltypes.NewInt(i) }
 func sqlStr(s string) sqltypes.Value { return sqltypes.NewString(s) }
 
 func newRecoveryLog() *recoverylog.Log { return recoverylog.New() }
+
+// setDB points every backend session of the pool at db, bypassing the
+// client session's settings path.
+func (p *sessionPool) setDB(db string) error {
+	return p.announce(&sqlparse.UseDatabase{Name: db})
+}
 
 // committedEvents runs each statement on a fresh engine and returns the
 // engine's binlog: what a recorder following it logs.

@@ -68,10 +68,6 @@ type MasterSlaveConfig struct {
 	ReadFromMaster bool
 	// Consistency is the default read guarantee for sessions.
 	Consistency Consistency
-	// FreshnessBound, when > 0 and Consistency is ReadAny, restricts
-	// reads to slaves lagging at most this many events ("a freshness
-	// guarantee", §2.1).
-	FreshnessBound uint64
 	// TransparentFailover replays the in-flight transaction on the new
 	// master after failover (Sequoia-style, §4.3.3). Only sound with
 	// deterministic statements.
@@ -392,50 +388,23 @@ func (ms *MasterSlave) waitTwoSafe(seq uint64) error {
 	}
 }
 
-// freshAt reports whether a slave at applied position satisfies the given
-// read guarantee against the given binlog head and the session's last write.
-func (ms *MasterSlave) freshAt(cons Consistency, applied, head, lastWriteSeq uint64) bool {
-	switch cons {
-	case ReadAny:
-		return ms.cfg.FreshnessBound == 0 || head-min64(applied, head) <= ms.cfg.FreshnessBound
-	case SessionConsistent:
-		return applied >= lastWriteSeq
-	case StrongConsistent:
-		return applied >= head
-	}
-	return true
-}
-
 // replicaFresh reports whether r currently satisfies the session's read
 // guarantee. The master always does. It runs on every pinned read, so the
-// common modes (unbounded ReadAny; SessionConsistent with a caught-up
-// replica) answer from r's atomics alone without touching ms.mu or the
-// master's binlog mutex.
-func (ms *MasterSlave) replicaFresh(r *Replica, cons Consistency, lastWriteSeq uint64) bool {
-	switch cons {
-	case ReadAny:
-		if ms.cfg.FreshnessBound == 0 {
-			return true
-		}
-	case SessionConsistent:
-		if r.AppliedSeq() >= lastWriteSeq {
-			return true
-		}
-	}
-	ms.mu.Lock()
-	master := ms.master
-	ms.mu.Unlock()
-	if r == master {
+// common modes (ReadAny; SessionConsistent with a caught-up replica)
+// answer from r's atomics alone without touching ms.mu or the master's
+// binlog mutex.
+func (ms *MasterSlave) replicaFresh(r *Replica, cons Consistency, floor uint64) bool {
+	if cons == ReadAny || (cons == SessionConsistent && r.AppliedSeq() >= floor) {
 		return true
 	}
-	return ms.freshAt(cons, r.AppliedSeq(), master.Engine().Binlog().Head(), lastWriteSeq)
+	master := ms.Master()
+	return r == master || fresh(cons, r.AppliedSeq(), floor, master.Engine().Binlog().Head())
 }
 
-// pickReadReplica selects a replica for a read under the session's
-// consistency requirement. relaxed (overload shedding, ReadAny only) admits
-// every healthy slave regardless of freshness bound, spreading reads onto
-// lagging replicas the bound would normally exclude.
-func (ms *MasterSlave) pickReadReplica(cons Consistency, lastWriteSeq uint64, relaxed bool) (*Replica, error) {
+// pickRead selects a replica for a read under the session's consistency
+// requirement: a fresh healthy slave (or the master, with ReadFromMaster),
+// else the master, which satisfies every guarantee.
+func (ms *MasterSlave) pickRead(cons Consistency, floor uint64) (*Replica, error) {
 	ms.mu.Lock()
 	master := ms.master
 	slaves := append([]*Replica(nil), ms.slaves...)
@@ -444,10 +413,7 @@ func (ms *MasterSlave) pickReadReplica(cons Consistency, lastWriteSeq uint64, re
 	head := master.Engine().Binlog().Head()
 	var candidates []lb.Target
 	for _, sl := range slaves {
-		if !sl.Healthy() {
-			continue
-		}
-		if relaxed || ms.freshAt(cons, sl.AppliedSeq(), head, lastWriteSeq) {
+		if sl.Healthy() && fresh(cons, sl.AppliedSeq(), floor, head) {
 			candidates = append(candidates, sl)
 		}
 	}
@@ -455,7 +421,6 @@ func (ms *MasterSlave) pickReadReplica(cons Consistency, lastWriteSeq uint64, re
 		candidates = append(candidates, master)
 	}
 	if len(candidates) == 0 {
-		// Fall back to the master: it always satisfies every guarantee.
 		if master.Healthy() {
 			return master, nil
 		}
@@ -476,39 +441,26 @@ func (ms *MasterSlave) QueryCacheScope() *qcache.Scope { return ms.qc }
 // control is off); the metrics endpoint and tests read its counters.
 func (ms *MasterSlave) Admission() *admission.Controller { return ms.cfg.Admission }
 
-// cacheMinPos is the lowest replication position a cached result must carry
-// to satisfy the given read guarantee for a session whose last write
-// committed at lastWriteSeq — the cache-side mirror of freshAt.
-func (ms *MasterSlave) cacheMinPos(cons Consistency, lastWriteSeq uint64) uint64 {
-	switch cons {
-	case SessionConsistent:
-		return lastWriteSeq
-	case StrongConsistent:
-		return ms.MasterSeq()
-	default: // ReadAny
-		if ms.cfg.FreshnessBound == 0 {
-			return 0
-		}
-		head := ms.MasterSeq()
-		if head > ms.cfg.FreshnessBound {
-			return head - ms.cfg.FreshnessBound
-		}
-		return 0
-	}
-}
-
 // readPos is the replication position a read routed to r can be tagged
-// with: what r had durably applied (or, for the master, committed) before
-// the read ran — a sound lower bound on the state the result reflects.
+// with: what r had applied (or, for the master, committed) at the time.
 func (ms *MasterSlave) readPos(r *Replica) uint64 {
-	ms.mu.Lock()
-	master := ms.master
-	ms.mu.Unlock()
+	master := ms.Master()
 	if r == master {
 		return master.Engine().Binlog().Head()
 	}
 	return r.AppliedSeq()
 }
+
+// latest is the master's binlog head.
+func (ms *MasterSlave) latest() uint64 { return ms.MasterSeq() }
+
+// pinnable keeps reads from pinning the master: a master fallback (no
+// slave was fresh enough) must stay temporary, or write-then-read sessions
+// would migrate to the master forever and collapse read-one/write-all
+// scaling.
+func (ms *MasterSlave) pinnable(r *Replica) bool { return r != ms.Master() }
+
+func (ms *MasterSlave) incarnation() uint64 { return ms.Epoch() }
 
 // invalidateThrough folds master binlog events up to seq into the query
 // cache's invalidation state. Writers call it after committing and before
@@ -536,13 +488,6 @@ func (ms *MasterSlave) invalidateThrough(master *Replica, seq uint64) {
 			ms.invalCursor = ev.Seq
 		}
 	}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // InjectSkipCacheInvalidation toggles the harness's fault injection: while
@@ -876,50 +821,31 @@ type boundStmt struct {
 // MSSession is a client session against a master-slave cluster. It
 // implements the unified Conn contract.
 type MSSession struct {
-	ms   *MasterSlave
-	pool *sessionPool
+	replicaSession
+	ms *MasterSlave
 
-	mu           sync.Mutex
-	lastWriteSeq uint64
-	// lastReadSeq is the highest replication position any state this
-	// session has already observed could reflect. Under session
-	// consistency, reads are only routed to replicas at or past
-	// max(lastWriteSeq, lastReadSeq): lastWriteSeq alone gives
-	// read-your-writes but not monotonic reads — after a failover (or a
-	// pinned slave dying) the session would be re-routed to any replica
-	// that merely covered its own writes, and could observe a version
-	// OLDER than one it already read. The certification harness caught
-	// exactly that regression.
-	lastReadSeq uint64
-	pinned      *Replica // connection-level read pinning
-	epoch       uint64
-	// cons is the session's read guarantee; it defaults to the cluster
-	// configuration and can be overridden per session (SET CONSISTENCY).
-	cons Consistency
+	mu sync.Mutex
 	// txnLog keeps the in-flight transaction's parsed statements (with
 	// their bind arguments) for transparent failover replay — ASTs, not
 	// SQL text, so a replay does not re-parse.
 	txnLog []boundStmt
 	inTxn  bool
-	// serializable tracks the isolation level this session has announced:
-	// serializable reads take 2PL table locks, which a result-cache hit
-	// would silently skip, so they bypass the cache.
-	serializable bool
-	// stmtTimeout is the session's SET DEADLINE budget (0 = none): each
-	// statement gets now+stmtTimeout as its absolute deadline, covering
-	// admission-queue wait, replica worker wait, any stall or degradation
-	// delay and engine execution together.
-	stmtTimeout time.Duration
 }
 
 // NewSession opens a client session on the cluster.
 func (ms *MasterSlave) NewSession(user string) *MSSession {
-	return &MSSession{
-		ms: ms, pool: newSessionPool(user), epoch: ms.Epoch(),
-		cons:         ms.cfg.Consistency,
-		serializable: ms.Master().Engine().Profile().DefaultIsolation == engine.Serializable,
-		stmtTimeout:  ms.cfg.StatementTimeout,
+	cs := &MSSession{ms: ms}
+	cs.replicaSession = replicaSession{
+		sessionCore: newSessionCore(cs, user, ms.cfg.Admission, ms.cfg.Consistency, ms.cfg.StatementTimeout),
+		pool:        newSessionPool(user),
+		topo:        ms,
+		qc:          ms.qc,
+		level:       ms.cfg.ReadLevel,
+		skipInval:   &ms.skipInval,
+		pinEpoch:    ms.Epoch(),
 	}
+	cs.serializable = ms.Master().Engine().Profile().DefaultIsolation == engine.Serializable
+	return cs
 }
 
 // NewConn implements Cluster.
@@ -958,256 +884,27 @@ func (ms *MasterSlave) Health() Health {
 // Close releases the session.
 func (cs *MSSession) Close() { cs.pool.closeAll() }
 
-// Exec routes one statement with optional ? bind arguments. Parsing goes
-// through the process-wide statement cache, so the router sees each distinct
-// text's AST once; the same AST is then handed to the backend engine without
-// re-serializing.
-func (cs *MSSession) Exec(sql string, args ...sqltypes.Value) (*engine.Result, error) {
-	st, err := sqlparse.ParseCached(sql)
-	if err != nil {
-		return nil, err
-	}
-	return cs.ExecStmtArgs(st, args...)
-}
-
-// Query implements Conn; routing is decided by the statement itself.
-func (cs *MSSession) Query(sql string, args ...sqltypes.Value) (*engine.Result, error) {
-	return cs.Exec(sql, args...)
-}
-
-// ExecStmt routes a pre-parsed statement.
-func (cs *MSSession) ExecStmt(st sqlparse.Statement) (*engine.Result, error) {
-	return cs.ExecStmtArgs(st)
-}
-
-// ExecStmtArgs routes a pre-parsed statement with bind arguments.
+// ExecStmtArgs routes a pre-parsed statement with bind arguments: reads
+// outside a transaction through the read pipeline, everything else to the
+// master.
 func (cs *MSSession) ExecStmtArgs(st sqlparse.Statement, args ...sqltypes.Value) (*engine.Result, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	switch s := st.(type) {
-	case *sqlparse.UseDatabase:
-		if err := cs.pool.setDB(s.Name); err != nil {
-			return nil, err
+	// Inside a transaction SET ISOLATION goes to the master, whose session
+	// rejects it like the engine would.
+	if _, iso := st.(*sqlparse.SetIsolation); !iso || !cs.inTxn {
+		if res, ok, err := cs.setting(st, cs.pool.announce); ok {
+			return res, err
 		}
-		return &engine.Result{}, nil
-	case *sqlparse.SetConsistency:
-		// Per-session read-guarantee override; never routed to a backend.
-		c, err := ParseConsistency(s.Level)
-		if err != nil {
-			return nil, err
-		}
-		cs.cons = c
-		return &engine.Result{}, nil
-	case *sqlparse.SetDeadline:
-		// Per-session statement budget; intercepted here (not routed) so
-		// the deadline also covers admission-queue and replica waits.
-		cs.stmtTimeout = s.D
-		return &engine.Result{}, nil
-	case *sqlparse.SetIsolation:
-		// Track and propagate the level across every pooled backend
-		// session: the seed routed SET ISOLATION like a read, changing
-		// only whichever replica happened to serve it — a session could
-		// read serializable on its pinned slave and read-committed
-		// everywhere else. Inside a transaction it falls through so the
-		// master session rejects it like the engine would.
-		if !cs.inTxn {
-			cs.serializable = s.Level == "SERIALIZABLE"
-			if err := cs.pool.setIsolation(s); err != nil {
-				return nil, err
-			}
-			return &engine.Result{}, nil
-		}
-	case *sqlparse.BeginTxn:
-		// BEGIN must open the transaction on the master. Its IsRead() is
-		// true (it takes no locks), but routing it like a read opened the
-		// transaction on whatever replica served this session's reads
-		// while the transaction's writes autocommitted on the master:
-		// trackTxn never engaged and COMMIT failed — or, worse, committed
-		// a slave-local transaction.
-		return cs.execWrite(st, args)
 	}
-	if st.IsRead() && !cs.inTxn {
+	// BEGIN must open the transaction on the master. Its IsRead() is true
+	// (it takes no locks), but routing it like a read opened the
+	// transaction on whatever replica served this session's reads while
+	// the transaction's writes autocommitted on the master.
+	if _, begin := st.(*sqlparse.BeginTxn); st.IsRead() && !cs.inTxn && !begin {
 		return cs.execRead(st, args)
 	}
 	return cs.execWrite(st, args)
-}
-
-// stmtDeadline is the absolute deadline for a statement starting now under
-// the session's SET DEADLINE budget (zero when none).
-func (cs *MSSession) stmtDeadline() time.Time {
-	if cs.stmtTimeout > 0 {
-		return time.Now().Add(cs.stmtTimeout)
-	}
-	return time.Time{}
-}
-
-// readClass maps the session's read guarantee to its admission class: an
-// ANY-consistency read is the first work shed under overload.
-func (cs *MSSession) readClass() admission.Class {
-	if cs.cons == ReadAny {
-		return admission.ClassReadAny
-	}
-	return admission.ClassReadSession
-}
-
-// admit takes an admission slot (nil controller = admission off, nil slot).
-func (cs *MSSession) admit(class admission.Class, deadline time.Time) (*admission.Slot, error) {
-	return cs.ms.cfg.Admission.Acquire(cs.pool.user, class, deadline)
-}
-
-// readFloor is the lowest replication position a read may be served from.
-// Session consistency covers both the session's own writes
-// (read-your-writes) and the freshest state it has already observed
-// (monotonic reads); the other levels derive their bound from
-// lastWriteSeq / the master head alone.
-func (cs *MSSession) readFloor() uint64 {
-	if cs.cons == SessionConsistent && cs.lastReadSeq > cs.lastWriteSeq {
-		return cs.lastReadSeq
-	}
-	return cs.lastWriteSeq
-}
-
-// bumpReadSeq advances the monotonic-reads floor to pos.
-func (cs *MSSession) bumpReadSeq(pos uint64) {
-	if pos > cs.lastReadSeq {
-		cs.lastReadSeq = pos
-	}
-}
-
-// execRead routes a read per the configured level/policy/consistency,
-// serving cache-eligible statements from the cluster's query result cache
-// when one is configured. A hit skips the backend entirely; a miss routes
-// normally and fills the cache with the result, tagged with the replication
-// position the serving replica had applied before the read. Bind arguments
-// are part of the cache key.
-func (cs *MSSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*engine.Result, error) {
-	deadline := cs.stmtDeadline()
-	// Degradation ladder, first rung: under sustained overload ANY-
-	// consistency reads relax freshness entirely — any cached result and
-	// any healthy (however lagging) replica qualifies. A stale answer the
-	// client already accepted the staleness contract for beats a typed
-	// rejection, and a cache hit costs no admission slot at all.
-	relaxed := cs.cons == ReadAny && cs.ms.cfg.Admission.Shedding()
-	qc := cs.ms.qc
-	if qc == nil || cs.serializable || !engine.CacheableRead(st) || cs.pool.readsTemp(st) {
-		slot, err := cs.admit(cs.readClass(), deadline)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cs.execReadRouted(st, args, deadline, relaxed)
-		slot.Done(err)
-		return res, err
-	}
-	user := cs.pool.user
-	db := cs.pool.currentDB()
-	text := st.SQL()
-	minPos := cs.ms.cacheMinPos(cs.cons, cs.readFloor())
-	if relaxed {
-		minPos = 0
-	}
-	if cs.ms.skipInval.Load() {
-		// Fault injection (InjectSkipCacheInvalidation): with write-side
-		// invalidation off, also stop honoring the session's position
-		// floor, so an acked write can be followed by a stale cached read
-		// — the anomaly the certification harness must catch.
-		minPos = 0
-	}
-	// The cache probe runs BEFORE admission: a hit consumes no backend
-	// capacity, so it must not consume (or be rejected for) a slot either.
-	if res, posHi, ok := qc.GetPos(user, db, text, args, minPos); ok {
-		cs.bumpReadSeq(posHi)
-		return res, nil
-	}
-	slot, err := cs.admit(cs.readClass(), deadline)
-	if err != nil {
-		return nil, err
-	}
-	res, err := cs.execReadCacheFill(st, args, deadline, relaxed, qc, user, db, text)
-	slot.Done(err)
-	return res, err
-}
-
-// execReadCacheFill routes a cache-miss read and fills the cache with the
-// result, tagged with the serving replica's applied position.
-func (cs *MSSession) execReadCacheFill(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time, relaxed bool, qc *qcache.Scope, user, db, text string) (*engine.Result, error) {
-	target, err := cs.routeRead(relaxed)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := cs.pool.get(target)
-	if err != nil {
-		return nil, err
-	}
-	pos := cs.ms.readPos(target)
-	res, err := target.ExecStmtArgsDeadlineOn(sess, st, true, args, deadline)
-	if err != nil {
-		return nil, err
-	}
-	posHi := cs.ms.readPos(target)
-	cs.bumpReadSeq(posHi)
-	qc.PutAt(user, db, text, args, st.Tables(), pos, posHi, res)
-	return res, nil
-}
-
-// execReadRouted executes a read on a routed replica with no caching.
-func (cs *MSSession) execReadRouted(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time, relaxed bool) (*engine.Result, error) {
-	target, err := cs.routeRead(relaxed)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := cs.pool.get(target)
-	if err != nil {
-		return nil, err
-	}
-	// Hand the already-parsed AST to the backend: the seed re-serialized
-	// with st.SQL() here and the engine parsed the text again — a full
-	// parse round-trip on every routed read.
-	res, err := target.ExecStmtArgsDeadlineOn(sess, st, true, args, deadline)
-	if err != nil {
-		return nil, err
-	}
-	cs.bumpReadSeq(cs.ms.readPos(target))
-	return res, nil
-}
-
-// routeRead picks the replica for a read. A connection-level pin is honored
-// only while the pinned replica still satisfies the session's consistency
-// guarantee — serving a pinned but lagging replica would silently break
-// read-your-writes (this bit the wire path once statements got fast enough
-// to outrun the appliers).
-func (cs *MSSession) routeRead(relaxed bool) (*Replica, error) {
-	// A failover may have promoted the pinned slave to master; drop the pin
-	// on any epoch change so the session stops absorbing reads on the new
-	// master. The epoch load is atomic — no cluster mutex on the hot path.
-	if e := cs.ms.Epoch(); e != cs.epoch {
-		cs.epoch = e
-		cs.pinned = nil
-		// The failover truncated the lost suffix and re-aligned the
-		// position space; a read floor pointing into the lost region would
-		// pin this session to the master forever (no replica can ever reach
-		// a position that no longer exists). State observed beyond the new
-		// head was lost with the old master — clamp to what the new lineage
-		// has. (1-safe loss is the paper's accepted exposure, §2.2.)
-		if head := cs.ms.MasterSeq(); cs.lastReadSeq > head {
-			cs.lastReadSeq = head
-		}
-	}
-	floor := cs.readFloor()
-	if cs.ms.cfg.ReadLevel == lb.ConnectionLevel && cs.pinned != nil && cs.pinned.Healthy() &&
-		(relaxed || cs.ms.replicaFresh(cs.pinned, cs.cons, floor)) {
-		return cs.pinned, nil
-	}
-	target, err := cs.ms.pickReadReplica(cs.cons, floor, relaxed)
-	if err != nil {
-		return nil, err
-	}
-	// Pin slaves only: a master fallback (no slave was fresh enough)
-	// must stay temporary, or write-then-read sessions would migrate
-	// to the master forever and collapse read-one/write-all scaling.
-	if cs.ms.cfg.ReadLevel == lb.ConnectionLevel && target != cs.ms.Master() {
-		cs.pinned = target
-	}
-	return target, nil
 }
 
 // execWrite sends the statement to the master, handling safety mode and
@@ -1215,18 +912,12 @@ func (cs *MSSession) routeRead(relaxed bool) (*Replica, error) {
 // admission ladder rejects; once admitted, the slot is held across a
 // failover retry (the cluster is doing real work for this statement the
 // whole time).
-func (cs *MSSession) execWrite(st sqlparse.Statement, args []sqltypes.Value) (*engine.Result, error) {
-	deadline := cs.stmtDeadline()
-	slot, err := cs.admit(admission.ClassWrite, deadline)
+func (cs *MSSession) execWrite(st sqlparse.Statement, args []sqltypes.Value) (res *engine.Result, err error) {
+	slot, deadline, err := cs.admit(admission.ClassWrite)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cs.execWriteAdmitted(st, args, deadline)
-	slot.Done(err)
-	return res, err
-}
-
-func (cs *MSSession) execWriteAdmitted(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time) (*engine.Result, error) {
+	defer func() { slot.Done(err) }()
 	for attempt := 0; ; attempt++ {
 		master := cs.ms.Master()
 		sess, err := cs.pool.get(master)
@@ -1330,7 +1021,7 @@ func (cs *MSSession) recoverFromMasterFailure(failed *Replica) error {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cs.pool.drop(failed.Name())
+	cs.pool.drop(failed)
 	if !cs.inTxn {
 		return nil
 	}
@@ -1352,45 +1043,5 @@ func (cs *MSSession) recoverFromMasterFailure(failed *Replica) error {
 			return fmt.Errorf("core: transparent failover replay failed: %w", err)
 		}
 	}
-	return nil
-}
-
-// Prepare implements Conn: parse once, execute many with fresh bindings.
-func (cs *MSSession) Prepare(sql string) (*Stmt, error) { return newStmt(cs, sql) }
-
-// Begin implements Conn.
-func (cs *MSSession) Begin() error {
-	_, err := cs.ExecStmt(&sqlparse.BeginTxn{})
-	return err
-}
-
-// Commit implements Conn.
-func (cs *MSSession) Commit() error {
-	_, err := cs.ExecStmt(&sqlparse.CommitTxn{})
-	return err
-}
-
-// Rollback implements Conn.
-func (cs *MSSession) Rollback() error {
-	_, err := cs.ExecStmt(&sqlparse.RollbackTxn{})
-	return err
-}
-
-// SetIsolation implements Conn, propagating the level across the session's
-// whole backend pool.
-func (cs *MSSession) SetIsolation(level string) error {
-	lv, err := normalizeIsolation(level)
-	if err != nil {
-		return err
-	}
-	_, err = cs.ExecStmt(&sqlparse.SetIsolation{Level: lv})
-	return err
-}
-
-// SetConsistency implements Conn: a per-session read-guarantee override.
-func (cs *MSSession) SetConsistency(c Consistency) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.cons = c
 	return nil
 }

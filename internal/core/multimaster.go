@@ -366,44 +366,17 @@ func (mm *MultiMaster) QueryCacheScope() *qcache.Scope { return mm.qc }
 // protection is off).
 func (mm *MultiMaster) Admission() *admission.Controller { return mm.cfg.Admission }
 
-// cacheMinPos is the lowest ordered position a cached result must carry to
-// satisfy the given read guarantee — the cache-side mirror of replicaFresh.
-func (mm *MultiMaster) cacheMinPos(cons Consistency, lastWriteSeq uint64) uint64 {
-	switch cons {
-	case SessionConsistent:
-		return lastWriteSeq
-	case StrongConsistent:
-		return mm.head.Load()
-	default:
-		return 0
-	}
-}
-
 // replicaFresh reports whether r currently satisfies the given read
-// guarantee for a session whose last write is lastWriteSeq.
-func (mm *MultiMaster) replicaFresh(r *Replica, cons Consistency, lastWriteSeq uint64) bool {
-	switch cons {
-	case ReadAny:
-		return true
-	case SessionConsistent:
-		return r.AppliedSeq() >= lastWriteSeq
-	case StrongConsistent:
-		return r.AppliedSeq() >= mm.head.Load()
-	}
-	return true
+// guarantee for a session whose read floor is floor.
+func (mm *MultiMaster) replicaFresh(r *Replica, cons Consistency, floor uint64) bool {
+	return fresh(cons, r.AppliedSeq(), floor, mm.head.Load())
 }
 
-// pickRead selects a read replica under the given consistency. With
-// relaxed set (ANY-consistency reads under overload shedding) freshness
-// bounds are waived: any healthy replica — however far behind — is a valid
-// target, which keeps lagging replicas absorbing load during a flash crowd.
-func (mm *MultiMaster) pickRead(cons Consistency, lastWriteSeq uint64, relaxed bool) (*Replica, error) {
+// pickRead selects a healthy read replica under the given consistency.
+func (mm *MultiMaster) pickRead(cons Consistency, floor uint64) (*Replica, error) {
 	var candidates []lb.Target
 	for _, r := range mm.replicas {
-		if !r.Healthy() {
-			continue
-		}
-		if relaxed || mm.replicaFresh(r, cons, lastWriteSeq) {
+		if r.Healthy() && mm.replicaFresh(r, cons, floor) {
 			candidates = append(candidates, r)
 		}
 	}
@@ -413,6 +386,18 @@ func (mm *MultiMaster) pickRead(cons Consistency, lastWriteSeq uint64, relaxed b
 	}
 	return t.(*Replica), nil
 }
+
+// readPos samples r's applied position exactly (sampleApplied).
+func (mm *MultiMaster) readPos(r *Replica) uint64 { return sampleApplied(r) }
+
+func (mm *MultiMaster) latest() uint64 { return mm.head.Load() }
+
+// pinnable: every replica of a multi-master cluster serves reads alike.
+func (mm *MultiMaster) pinnable(*Replica) bool { return true }
+
+// incarnation is constant: positions come from one total order that no
+// failover re-aligns.
+func (mm *MultiMaster) incarnation() uint64 { return 0 }
 
 // NewConn implements Cluster.
 func (mm *MultiMaster) NewConn(user string) (Conn, error) {

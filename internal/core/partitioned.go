@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/engine"
@@ -228,25 +227,12 @@ func (pc *Partitioned) Health() Health {
 }
 
 // PSession is a client session on a partitioned cluster. Sub-sessions are
-// created lazily per partition (a migration can add partitions mid-session)
-// with the session's settings replayed onto late arrivals.
+// opened lazily per partition, with the session's settings replayed onto
+// late arrivals.
 type PSession struct {
-	pc   *Partitioned
-	user string
-	mu   sync.Mutex
-	subs map[*MasterSlave]*MSSession
-	// cons shadows the session's read guarantee (the per-partition sessions
-	// hold the authoritative copy) so the router can classify reads for
-	// admission without reaching into a sub-session.
-	cons    Consistency
-	consSet bool
-	isoStmt *sqlparse.SetIsolation
-	useStmt *sqlparse.UseDatabase
-	// stmtTimeout is the per-statement deadline budget (SET DEADLINE); it
-	// bounds the router-level admission wait. The forwarded SET DEADLINE
-	// gives the per-partition sessions the same budget for execution.
-	stmtTimeout time.Duration
-	deadlineSet bool
+	routedSession
+	pc *Partitioned
+	mu sync.Mutex
 	// Explicit transactions bind lazily to the partition of their first
 	// keyed statement and must stay there (single-partition transactions;
 	// cross-partition commits would need 2PC). The bound owner is tracked
@@ -263,112 +249,28 @@ type PSession struct {
 
 // NewSession opens a session on the partitioned cluster.
 func (pc *Partitioned) NewSession(user string) *PSession {
-	p0 := pc.table.Load().parts[0]
-	return &PSession{
-		pc: pc, user: user,
-		subs:        make(map[*MasterSlave]*MSSession),
-		cons:        p0.cfg.Consistency,
-		stmtTimeout: p0.cfg.StatementTimeout,
-	}
-}
-
-// sub returns the session on partition p, creating it (and replaying the
-// session's settings onto it) on first use.
-func (ps *PSession) sub(p *MasterSlave) (*MSSession, error) {
-	if s := ps.subs[p]; s != nil {
-		return s, nil
-	}
-	s := p.NewSession(ps.user)
-	replay := func(st sqlparse.Statement) error {
-		_, err := s.ExecStmt(st)
-		return err
-	}
-	var err error
-	if ps.useStmt != nil {
-		err = replay(ps.useStmt)
-	}
-	if err == nil && ps.isoStmt != nil {
-		err = replay(ps.isoStmt)
-	}
-	if err == nil && ps.consSet {
-		err = s.SetConsistency(ps.cons)
-	}
-	if err == nil && ps.deadlineSet {
-		err = replay(&sqlparse.SetDeadline{D: ps.stmtTimeout})
-	}
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	ps.subs[p] = s
-	return s, nil
-}
-
-// stmtDeadline converts the session's statement-timeout budget into an
-// absolute deadline for the statement starting now; zero means unbounded.
-func (ps *PSession) stmtDeadline() time.Time {
-	if ps.stmtTimeout <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(ps.stmtTimeout)
+	ps := &PSession{pc: pc}
+	ps.routedSession = newRoutedSession(ps, user, pc.adm, pc.table.Load().parts[0].cfg)
+	return ps
 }
 
 // Close releases all per-partition sessions.
 func (ps *PSession) Close() {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	for _, s := range ps.subs {
-		s.Close()
-	}
-	ps.subs = make(map[*MasterSlave]*MSSession)
+	ps.closeSubs()
 }
 
-// Exec parses and routes a statement with optional ? bind arguments
-// (through the statement cache).
-func (ps *PSession) Exec(sql string, args ...sqltypes.Value) (*engine.Result, error) {
-	st, err := sqlparse.ParseCached(sql)
+// ExecStmtArgs routes a statement by partition key, with any ? arguments
+// inlined first.
+func (ps *PSession) ExecStmtArgs(st sqlparse.Statement, args ...sqltypes.Value) (*engine.Result, error) {
+	st, err := bindArgs(st, args)
 	if err != nil {
 		return nil, err
 	}
-	return ps.ExecStmtArgs(st, args...)
-}
-
-// Query implements Conn; routing is decided by the statement itself.
-func (ps *PSession) Query(sql string, args ...sqltypes.Value) (*engine.Result, error) {
-	return ps.Exec(sql, args...)
-}
-
-// ExecStmtArgs routes a pre-parsed statement with bind arguments. The
-// partition router inspects literal key values, so arguments are inlined
-// into the AST up front; the per-partition clusters then see standalone
-// statements.
-func (ps *PSession) ExecStmtArgs(st sqlparse.Statement, args ...sqltypes.Value) (*engine.Result, error) {
-	if len(args) > 0 {
-		bound, err := sqlparse.BindParams(st, args)
-		if err != nil {
-			return nil, err
-		}
-		st = bound
-	}
-	return ps.ExecStmt(st)
-}
-
-// forwardAll forwards a session-settings statement to every sub-session
-// already open (late-created subs get it replayed at creation).
-func (ps *PSession) forwardAll(st sqlparse.Statement) (*engine.Result, error) {
-	for _, sub := range ps.subs {
-		if _, err := sub.ExecStmt(st); err != nil {
-			return nil, err
-		}
-	}
-	return &engine.Result{}, nil
-}
-
-// ExecStmt routes a pre-parsed statement by partition key.
-func (ps *PSession) ExecStmt(st sqlparse.Statement) (*engine.Result, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	switch sd := st.(type) {
+	switch st.(type) {
 	case *sqlparse.BeginTxn:
 		if ps.inTxn {
 			return nil, fmt.Errorf("%w: transaction already in progress", ErrTxnState)
@@ -396,39 +298,11 @@ func (ps *PSession) ExecStmt(st sqlparse.Statement) (*engine.Result, error) {
 			return ps.commitTxn(sub, owner, buckets)
 		}
 		return sub.ExecStmt(st)
-	case *sqlparse.UseDatabase:
-		ps.useStmt = sd
-		return ps.forwardAll(st)
-	case *sqlparse.SetIsolation:
-		ps.isoStmt = sd
-		return ps.forwardAll(st)
-	case *sqlparse.SetDeadline:
-		// Record the router-level budget and forward: the per-partition
-		// sessions bound replica execution with the same budget.
-		ps.stmtTimeout = sd.D
-		ps.deadlineSet = true
-		return ps.forwardAll(st)
-	case *sqlparse.SetConsistency:
-		c, err := ParseConsistency(sd.Level)
-		if err != nil {
-			return nil, err
-		}
-		ps.cons = c
-		ps.consSet = true
-		return ps.forwardAll(st)
 	}
-	// Everything else is real work: gate it through the router's admission
-	// controller (in-transaction statements count as writes — they hold
-	// locks on the bound partition).
-	class := admission.ClassWrite
-	if !ps.inTxn && st.IsRead() {
-		if ps.cons == ReadAny {
-			class = admission.ClassReadAny
-		} else {
-			class = admission.ClassReadSession
-		}
+	if res, ok, err := ps.setting(st, ps.forward); ok {
+		return res, err
 	}
-	slot, err := ps.pc.adm.Acquire(ps.user, class, ps.stmtDeadline())
+	slot, _, err := ps.admit(ps.class(st, ps.inTxn))
 	if err != nil {
 		return nil, err
 	}
@@ -1052,61 +926,6 @@ func extractKeyEquality(e sqlparse.Expr, column string) (sqltypes.Value, bool) {
 		}
 	}
 	return sqltypes.Null, false
-}
-
-// Prepare implements Conn: parse once, execute many with fresh bindings
-// (the partition router re-binds per execution, so one handle can hit a
-// different partition per call).
-func (ps *PSession) Prepare(sql string) (*Stmt, error) { return newStmt(ps, sql) }
-
-// Begin implements Conn: opens a single-partition transaction that binds to
-// the partition of its first keyed statement.
-func (ps *PSession) Begin() error {
-	_, err := ps.ExecStmt(&sqlparse.BeginTxn{})
-	return err
-}
-
-// Commit implements Conn.
-func (ps *PSession) Commit() error {
-	_, err := ps.ExecStmt(&sqlparse.CommitTxn{})
-	return err
-}
-
-// Rollback implements Conn.
-func (ps *PSession) Rollback() error {
-	_, err := ps.ExecStmt(&sqlparse.RollbackTxn{})
-	return err
-}
-
-// SetIsolation implements Conn across every partition session.
-func (ps *PSession) SetIsolation(level string) error {
-	lv, err := normalizeIsolation(level)
-	if err != nil {
-		return err
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.isoStmt = &sqlparse.SetIsolation{Level: lv}
-	for _, sub := range ps.subs {
-		if _, err := sub.ExecStmt(ps.isoStmt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetConsistency implements Conn across every partition session.
-func (ps *PSession) SetConsistency(c Consistency) error {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.cons = c
-	ps.consSet = true
-	for _, sub := range ps.subs {
-		if err := sub.SetConsistency(c); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // equalFoldASCII compares identifiers case-insensitively.

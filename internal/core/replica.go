@@ -339,24 +339,24 @@ func (r *Replica) ExecStmtArgsDeadlineOn(s *engine.Session, st sqlparse.Statemen
 func (r *Replica) Execs() uint64 { return r.execs.Load() }
 
 // sessionPool hands out per-replica engine sessions for middleware client
-// sessions, keeping USE state in sync lazily.
+// sessions, keeping USE and isolation state in sync lazily.
 type sessionPool struct {
 	mu       sync.Mutex
-	sessions map[string]*engine.Session // replica name -> session
+	sessions map[*Replica]*engine.Session
 	db       string
 	iso      *sqlparse.SetIsolation // announced level, applied to every session
 	user     string
 }
 
 func newSessionPool(user string) *sessionPool {
-	return &sessionPool{sessions: make(map[string]*engine.Session), user: user}
+	return &sessionPool{sessions: make(map[*Replica]*engine.Session), user: user}
 }
 
 // get returns (creating if needed) this client's session on the replica.
 func (p *sessionPool) get(r *Replica) (*engine.Session, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, ok := p.sessions[r.name]
+	s, ok := p.sessions[r]
 	if !ok {
 		s = r.eng.NewSession(p.user)
 		if p.db != "" {
@@ -371,7 +371,7 @@ func (p *sessionPool) get(r *Replica) (*engine.Session, error) {
 				return nil, err
 			}
 		}
-		p.sessions[r.name] = s
+		p.sessions[r] = s
 	}
 	return s, nil
 }
@@ -383,54 +383,49 @@ func (p *sessionPool) currentDB() string {
 	return p.db
 }
 
-// setDB records (and propagates) the session's current database.
-func (p *sessionPool) setDB(db string) error {
+// announce records a USE or SET ISOLATION and runs it on every backend
+// session already open, so a re-routed statement runs in the database and
+// at the level the client announced, whichever replica serves it. Other
+// statements are ignored.
+func (p *sessionPool) announce(st sqlparse.Statement) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.db = db
-	for name, s := range p.sessions {
-		if _, err := s.ExecStmt(&sqlparse.UseDatabase{Name: db}); err != nil {
-			return fmt.Errorf("core: USE on replica %s: %w", name, err)
-		}
+	switch s := st.(type) {
+	case *sqlparse.UseDatabase:
+		p.db = s.Name
+	case *sqlparse.SetIsolation:
+		p.iso = s
+	default:
+		return nil
 	}
-	return nil
-}
-
-// setIsolation records (and propagates) the session's isolation level, so
-// a re-routed read runs at the level the client announced no matter which
-// replica serves it.
-func (p *sessionPool) setIsolation(st *sqlparse.SetIsolation) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for name, s := range p.sessions {
+	for r, s := range p.sessions {
 		if _, err := s.ExecStmt(st); err != nil {
-			return fmt.Errorf("core: SET ISOLATION on replica %s: %w", name, err)
+			return fmt.Errorf("core: %s on replica %s: %w", st.SQL(), r.Name(), err)
 		}
 	}
-	p.iso = st
 	return nil
 }
 
-// readsTemp reports whether st names a temp table of any of this client's
-// sessions (see engine.Session.ReadsTemp).
-func (p *sessionPool) readsTemp(st sqlparse.Statement) bool {
+// tempHome returns the replica whose backend session holds a temp table
+// st names (see engine.Session.ReadsTemp), or nil.
+func (p *sessionPool) tempHome(st sqlparse.Statement) *Replica {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, s := range p.sessions {
+	for r, s := range p.sessions {
 		if s.ReadsTemp(st) {
-			return true
+			return r
 		}
 	}
-	return false
+	return nil
 }
 
 // drop discards the session for a replica (after failover).
-func (p *sessionPool) drop(name string) {
+func (p *sessionPool) drop(r *Replica) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if s, ok := p.sessions[name]; ok {
+	if s, ok := p.sessions[r]; ok {
 		s.Close()
-		delete(p.sessions, name)
+		delete(p.sessions, r)
 	}
 }
 
@@ -441,5 +436,5 @@ func (p *sessionPool) closeAll() {
 	for _, s := range p.sessions {
 		s.Close()
 	}
-	p.sessions = make(map[string]*engine.Session)
+	p.sessions = make(map[*Replica]*engine.Session)
 }

@@ -213,19 +213,13 @@ func (w *WAN) Health() Health {
 	return h
 }
 
-// WSession is a client session attached to one site.
+// WSession is a client session attached to one site. It opens a session
+// on each site it reaches: the local one, and the owners of the keys it
+// writes.
 type WSession struct {
+	routedSession
 	w     *WAN
 	local *SiteConfig
-	// sessions per site (local + forwarding targets).
-	subs map[string]*MSSession
-	user string
-	db   string
-	// iso / cons / deadline are the announced isolation, consistency, and
-	// statement-timeout settings, replayed onto site sessions opened later.
-	iso      string
-	cons     *Consistency
-	deadline *time.Duration
 	// inTxn tracks the explicit transaction open on the LOCAL site's
 	// session: remote-owner writes must be refused while it is set, or
 	// they would silently autocommit at the owning site outside the
@@ -233,127 +227,41 @@ type WSession struct {
 	inTxn bool
 }
 
-// NewSession opens a session homed at the named site.
+// NewSession opens a session homed at the named site. Its read guarantee
+// and statement budget default to the local site's configuration.
 func (w *WAN) NewSession(site, user string) (*WSession, error) {
 	s := w.site(site)
 	if s == nil {
 		return nil, fmt.Errorf("core: unknown site %q", site)
 	}
-	return &WSession{w: w, local: s, subs: make(map[string]*MSSession), user: user}, nil
+	ws := &WSession{w: w, local: s}
+	ws.routedSession = newRoutedSession(ws, user, w.adm, s.Cluster.cfg)
+	return ws, nil
 }
 
 // Close releases all site sessions.
-func (ws *WSession) Close() {
-	for _, s := range ws.subs {
-		s.Close()
-	}
-}
+func (ws *WSession) Close() { ws.closeSubs() }
 
-func (ws *WSession) sessionAt(site *SiteConfig) (*MSSession, error) {
-	s, ok := ws.subs[site.Name]
-	if !ok {
-		s = site.Cluster.NewSession(ws.user)
-		if ws.db != "" {
-			if _, err := s.Exec("USE " + ws.db); err != nil {
-				s.Close()
-				return nil, err
-			}
-		}
-		if ws.iso != "" {
-			if err := s.SetIsolation(ws.iso); err != nil {
-				s.Close()
-				return nil, err
-			}
-		}
-		if ws.cons != nil {
-			if err := s.SetConsistency(*ws.cons); err != nil {
-				s.Close()
-				return nil, err
-			}
-		}
-		if ws.deadline != nil {
-			if _, err := s.ExecStmt(&sqlparse.SetDeadline{D: *ws.deadline}); err != nil {
-				s.Close()
-				return nil, err
-			}
-		}
-		ws.subs[site.Name] = s
-	}
-	return s, nil
-}
-
-// Exec routes one statement with optional ? bind arguments: reads and
-// un-keyed statements go to the local site; keyed writes go to the owning
-// site (paying the WAN round trip when remote). The geo router inspects
-// literal key values, so arguments are inlined into the AST up front.
-func (ws *WSession) Exec(sql string, args ...sqltypes.Value) (*engine.Result, error) {
-	st, err := sqlparse.ParseCached(sql)
+// ExecStmtArgs routes one statement: reads and un-keyed statements go to
+// the local site; keyed writes go to the owning site (paying the WAN round
+// trip when remote). The geo router inspects literal key values, so
+// arguments are inlined into the AST up front. Settings hold on every site
+// session, current and future: a forwarded write runs at the level the
+// client announced.
+func (ws *WSession) ExecStmtArgs(st sqlparse.Statement, args ...sqltypes.Value) (*engine.Result, error) {
+	st, err := bindArgs(st, args)
 	if err != nil {
 		return nil, err
 	}
-	return ws.ExecStmtArgs(st, args...)
-}
-
-// Query implements Conn; routing is decided by the statement itself.
-func (ws *WSession) Query(sql string, args ...sqltypes.Value) (*engine.Result, error) {
-	return ws.Exec(sql, args...)
-}
-
-// ExecStmtArgs routes a pre-parsed statement with bind arguments.
-func (ws *WSession) ExecStmtArgs(st sqlparse.Statement, args ...sqltypes.Value) (*engine.Result, error) {
-	if len(args) > 0 {
-		bound, err := sqlparse.BindParams(st, args)
-		if err != nil {
-			return nil, err
-		}
-		st = bound
+	if res, ok, err := ws.setting(st, ws.forward); ok {
+		return res, err
 	}
-	return ws.ExecStmt(st)
-}
-
-// ExecStmt routes a pre-parsed statement.
-func (ws *WSession) ExecStmt(st sqlparse.Statement) (*engine.Result, error) {
-	switch s := st.(type) {
-	case *sqlparse.UseDatabase:
-		ws.db = s.Name
-		for _, sub := range ws.subs {
-			if _, err := sub.ExecStmt(st); err != nil {
-				return nil, err
-			}
-		}
-		return &engine.Result{}, nil
-	case *sqlparse.SetIsolation:
-		// Propagate across every site session, current and future: a
-		// forwarded write must run at the level the client announced.
-		ws.iso = s.Level
-		for _, sub := range ws.subs {
-			if _, err := sub.ExecStmt(st); err != nil {
-				return nil, err
-			}
-		}
-		return &engine.Result{}, nil
-	case *sqlparse.SetConsistency:
-		c, err := ParseConsistency(s.Level)
-		if err != nil {
-			return nil, err
-		}
-		return &engine.Result{}, ws.SetConsistency(c)
-	case *sqlparse.SetDeadline:
-		// Record (for router-level admission and future site sessions) and
-		// forward so open site sessions bound execution with the budget.
-		d := s.D
-		ws.deadline = &d
-		for _, sub := range ws.subs {
-			if _, err := sub.ExecStmt(st); err != nil {
-				return nil, err
-			}
-		}
-		return &engine.Result{}, nil
+	switch st.(type) {
 	case *sqlparse.BeginTxn, *sqlparse.CommitTxn, *sqlparse.RollbackTxn:
 		// Transactions run on the local site's cluster. Track the bracket
 		// so remote-owner writes can be refused while one is open; a
 		// failed COMMIT still ends it (the engine terminated its txn).
-		sub, err := ws.sessionAt(ws.local)
+		sub, err := ws.sub(ws.local.Cluster)
 		if err != nil {
 			return nil, err
 		}
@@ -365,22 +273,7 @@ func (ws *WSession) ExecStmt(st sqlparse.Statement) (*engine.Result, error) {
 		}
 		return res, err
 	}
-	// Real work from here on: gate it through the geo router's admission
-	// controller (in-transaction statements count as writes — they hold
-	// locks on the local site).
-	class := admission.ClassWrite
-	if st.IsRead() && !ws.inTxn {
-		cons := ws.local.Cluster.cfg.Consistency
-		if ws.cons != nil {
-			cons = *ws.cons
-		}
-		if cons == ReadAny {
-			class = admission.ClassReadAny
-		} else {
-			class = admission.ClassReadSession
-		}
-	}
-	slot, err := ws.w.adm.Acquire(ws.user, class, ws.stmtDeadline())
+	slot, _, err := ws.admit(ws.class(st, ws.inTxn))
 	if err != nil {
 		return nil, err
 	}
@@ -389,25 +282,11 @@ func (ws *WSession) ExecStmt(st sqlparse.Statement) (*engine.Result, error) {
 	return res, err
 }
 
-// stmtDeadline converts the session's statement-timeout budget (SET
-// DEADLINE, defaulting to the local site's configured timeout) into an
-// absolute deadline starting now; zero means unbounded.
-func (ws *WSession) stmtDeadline() time.Time {
-	d := ws.local.Cluster.cfg.StatementTimeout
-	if ws.deadline != nil {
-		d = *ws.deadline
-	}
-	if d <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(d)
-}
-
 // execRouted dispatches an admitted statement to the owning site.
 func (ws *WSession) execRouted(st sqlparse.Statement) (*engine.Result, error) {
 	if st.IsRead() {
 		// "Reads are always local" — possibly stale, by design.
-		s, err := ws.sessionAt(ws.local)
+		s, err := ws.sub(ws.local.Cluster)
 		if err != nil {
 			return nil, err
 		}
@@ -427,7 +306,7 @@ func (ws *WSession) execRouted(st sqlparse.Statement) (*engine.Result, error) {
 		return nil, fmt.Errorf("%w: transaction is local to site %s; write for key owned by %s cannot join it (no cross-site 2PC)",
 			ErrUnsupportedStatement, ws.local.Name, owner.Name)
 	}
-	s, err := ws.sessionAt(owner)
+	s, err := ws.sub(owner.Cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -439,50 +318,6 @@ func (ws *WSession) execRouted(st sqlparse.Statement) (*engine.Result, error) {
 	res, err := s.ExecStmt(st)
 	time.Sleep(ws.w.latency(owner.Name, ws.local.Name))
 	return res, err
-}
-
-// Prepare implements Conn: parse once, execute many with fresh bindings.
-func (ws *WSession) Prepare(sql string) (*Stmt, error) { return newStmt(ws, sql) }
-
-// Begin implements Conn: the transaction runs on the local site's cluster.
-func (ws *WSession) Begin() error {
-	_, err := ws.ExecStmt(&sqlparse.BeginTxn{})
-	return err
-}
-
-// Commit implements Conn.
-func (ws *WSession) Commit() error {
-	_, err := ws.ExecStmt(&sqlparse.CommitTxn{})
-	return err
-}
-
-// Rollback implements Conn.
-func (ws *WSession) Rollback() error {
-	_, err := ws.ExecStmt(&sqlparse.RollbackTxn{})
-	return err
-}
-
-// SetIsolation implements Conn across every site session.
-func (ws *WSession) SetIsolation(level string) error {
-	lv, err := normalizeIsolation(level)
-	if err != nil {
-		return err
-	}
-	_, err = ws.ExecStmt(&sqlparse.SetIsolation{Level: lv})
-	return err
-}
-
-// SetConsistency implements Conn. The guarantee applies within each site's
-// cluster; cross-site replication stays asynchronous by design ("reads are
-// always local", §4.3.4.1).
-func (ws *WSession) SetConsistency(c Consistency) error {
-	ws.cons = &c
-	for _, sub := range ws.subs {
-		if err := sub.SetConsistency(c); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writeKey extracts the geo-partition key from a write statement.
