@@ -62,7 +62,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 256, "take an automatic checkpoint backup at most every N committed events, and only once the log since the last checkpoint outweighs it (<0 disables)")
 	segmentEntries := flag.Int("segment-entries", 1024, "recovery log entries per segment file")
 	fsyncEvery := flag.Int("fsync-every", 64, "batch size between recovery log fsyncs (1 = every commit)")
-	groupCommit := flag.Duration("group-commit-window", 0, "commit acks wait for a recovery-log fsync, batched over this coalescing window (ms with -data-dir only; 0 keeps async fsync batching)")
+	groupCommit := flag.Bool("group-commit", false, "commit acks wait for a recovery-log fsync, shared by the commits that arrive while the previous fsync runs (ms with -data-dir only; off keeps async fsync batching)")
 	elastic := flag.Bool("elastic", false, "enable online elasticity (-topology partitioned): virtual-bucket routing plus live split/merge/migration")
 	buckets := flag.Int("buckets", 0, "virtual routing buckets for -elastic (0 = 16x partitions)")
 	autoscale := flag.Bool("autoscale", false, "enable load-driven replica autoscaling (-topology ms; requires -admission-slots)")
@@ -141,6 +141,10 @@ func main() {
 		if *twoSafe {
 			msCfg.Safety = replication.TwoSafe
 		}
+		var gcw time.Duration
+		if *groupCommit {
+			gcw = time.Nanosecond // any length turns durable acks on; the committer has no timer
+		}
 		durable, err = replication.OpenDurable(replication.DurableConfig{
 			Dir:               *dataDir,
 			Log:               replication.RecoveryLogOptions{SegmentEntries: *segmentEntries, FsyncEvery: *fsyncEvery},
@@ -149,7 +153,7 @@ func main() {
 			Cluster:           msCfg,
 			CheckpointEvery:   *checkpointEvery,
 			MonitorInterval:   *monitorEvery,
-			GroupCommitWindow: *groupCommit,
+			GroupCommitWindow: gcw,
 		})
 		if err != nil {
 			log.Fatalf("repld: %v", err)
@@ -191,8 +195,8 @@ func main() {
 		if *dataDir != "" {
 			log.Fatalf("repld: -data-dir durability is master-slave only (use -topology ms)")
 		}
-		if *groupCommit > 0 {
-			log.Fatalf("repld: -group-commit-window is master-slave only (use -topology ms)")
+		if *groupCommit {
+			log.Fatalf("repld: -group-commit is master-slave only (use -topology ms)")
 		}
 		reps := make([]*replication.Replica, *replicas)
 		for i := range reps {
@@ -214,8 +218,8 @@ func main() {
 		if *dataDir != "" {
 			log.Fatalf("repld: -data-dir durability is master-slave only (use -topology ms)")
 		}
-		if *groupCommit > 0 {
-			log.Fatalf("repld: -group-commit-window is master-slave only (use -topology ms)")
+		if *groupCommit {
+			log.Fatalf("repld: -group-commit is master-slave only (use -topology ms)")
 		}
 		parts := make([]*replication.MasterSlave, *partitions)
 		for i := range parts {

@@ -23,7 +23,7 @@ func main() {
 		for _, sql := range []string{
 			"CREATE DATABASE travel",
 			"USE travel",
-			"CREATE TABLE bookings (id INTEGER PRIMARY KEY AUTO_INCREMENT, region TEXT, what TEXT)",
+			"CREATE TABLE bookings (id INTEGER PRIMARY KEY, region TEXT, what TEXT)",
 		} {
 			if _, err := boot.Exec(sql); err != nil {
 				log.Fatal(err)
@@ -62,8 +62,13 @@ func main() {
 		}
 		fmt.Printf("%-34s %v\n", label, time.Since(t0).Round(time.Millisecond))
 	}
-	timeIt("local write (eu-owned row):", "INSERT INTO bookings (region, what) VALUES ('eu', 'hotel Berlin')")
-	timeIt("remote write (asia-owned row):", "INSERT INTO bookings (region, what) VALUES ('asia', 'flight HND')")
+	// Rows carry explicit ids. An AUTO_INCREMENT id is allotted by the site
+	// that executes the insert, from its own counter, and a site sees the
+	// others' rows only a WAN delay later: eu and asia would both allot 1
+	// and the sites would diverge. Each site-owned row gets an id that no
+	// other site hands out.
+	timeIt("local write (eu-owned row):", "INSERT INTO bookings (id, region, what) VALUES (1, 'eu', 'hotel Berlin')")
+	timeIt("remote write (asia-owned row):", "INSERT INTO bookings (id, region, what) VALUES (2, 'asia', 'flight HND')")
 
 	// Reads are always local — and may be stale until async shipping lands.
 	fmt.Println("waiting for asynchronous convergence...")

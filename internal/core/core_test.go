@@ -112,6 +112,33 @@ func TestMSWriteThenReadEverywhere(t *testing.T) {
 	checkConverged(t, all, "shop")
 }
 
+// TestMSNewSessionReadsTablesCreatedBeforeOpen: a session opened after
+// another connection created a database and a table must be able to read
+// them at once, even while every slave lags behind that DDL, instead of
+// failing on a slave that has not created them yet.
+func TestMSNewSessionReadsTablesCreatedBeforeOpen(t *testing.T) {
+	reps := newReplicas(t, 3, ReplicaConfig{})
+	ms := NewMasterSlave(reps[0], reps[1:], MasterSlaveConfig{Consistency: SessionConsistent})
+	t.Cleanup(ms.Close)
+	degradeSlaves(ms, 40*time.Millisecond)
+	writer := ms.NewSession("writer")
+	defer writer.Close()
+	for _, sql := range []string{
+		"CREATE DATABASE shop",
+		"USE shop",
+		"CREATE TABLE fresh (id INT PRIMARY KEY, v INT)",
+		"INSERT INTO fresh (id, v) VALUES (1, 7)",
+	} {
+		mustExecC(t, writer.Exec, sql)
+	}
+	reader := ms.NewSession("reader")
+	defer reader.Close()
+	mustExecC(t, reader.Exec, "USE shop")
+	if _, err := reader.Exec("SELECT v FROM fresh WHERE id = 1"); err != nil {
+		t.Fatalf("new session's first read: %v", err)
+	}
+}
+
 func TestMSReadsGoToSlaves(t *testing.T) {
 	ms, sess := newMSCluster(t, 2, MasterSlaveConfig{Consistency: ReadAny})
 	mustExecC(t, sess.Exec, "INSERT INTO items (id, name) VALUES (1, 'a')")

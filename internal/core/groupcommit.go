@@ -4,26 +4,28 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Cross-connection group commit (PR 9). A durable cluster that fsyncs the
 // recovery log once per commit spends almost all of its write latency in the
 // disk flush; under concurrent writers those flushes carry one transaction
 // each while the others queue behind the log mutex. The GroupCommitter
-// coalesces them: commits that arrive while a flush window is open ride the
-// same binlog copy and the same fsync, so N concurrent writers cost one disk
-// round-trip instead of N. This is the classical WAL group commit, applied
-// at the middleware layer the paper's Figure 3 runs the log in.
+// coalesces them: commits that arrive while a flush is in flight ride the
+// next binlog copy and the next fsync together, so N concurrent writers cost
+// one disk round-trip instead of N. This is the classical WAL group commit,
+// applied at the middleware layer the paper's Figure 3 runs the log in.
 //
-// The protocol is leader/follower. The first commit that finds no batch open
-// becomes the leader: it opens a batch, sleeps the coalescing window (the
-// bounded latency the -group-commit-window knob buys throughput with),
-// closes enrollment, copies the master binlog into the recovery log up to
-// the highest position enrolled, issues ONE Sync, and wakes every follower.
-// Commits that arrive mid-window enroll and just wait. Commits whose
-// position is already at or below the durable watermark return immediately
-// — the previous batch flushed on their behalf.
+// The committer is self-clocked: no timer decides when a batch closes, the
+// previous fsync does. The first commit that finds no batch open becomes the
+// leader of a new one. If a flush is in flight, the leader waits for it
+// while its own batch keeps enrolling; then it closes enrollment, copies the
+// master binlog into the recovery log up to the highest position enrolled,
+// issues ONE Sync, and wakes every follower. A lone writer therefore pays
+// one copy and one fsync, and concurrent writers batch because their fsyncs
+// would overlap in time (MySQL's binlog group commit, PostgreSQL's
+// commit_delay = 0). Commits whose position is already at or below the
+// durable watermark return immediately, and a leader whose whole batch the
+// previous flush already covered skips its fsync.
 
 // DurabilityWaiter is what the cluster write path blocks on before
 // acknowledging a commit: WaitDurable returns once the given replication
@@ -36,7 +38,7 @@ type DurabilityWaiter interface {
 // executed but its durability could not be confirmed.
 var ErrGroupCommitClosed = errors.New("core: group committer closed")
 
-// syncBatch is one in-flight flush: everyone enrolled waits on done, the
+// syncBatch is one batch of commits: everyone enrolled waits on done, the
 // leader flushes through high and reports err to all.
 type syncBatch struct {
 	done chan struct{}
@@ -49,24 +51,22 @@ type syncBatch struct {
 type GroupCommitter struct {
 	prov   *Provisioner
 	source func() *Replica // current master (tracks failovers)
-	window time.Duration
 
-	mu      sync.Mutex
-	cur     *syncBatch // open batch enrolling commits, nil if none
-	durable uint64     // highest position known flushed
-	commits uint64     // WaitDurable calls acknowledged
-	syncs   uint64     // batches flushed (one fsync each)
-	closed  bool
+	mu       sync.Mutex
+	cur      *syncBatch // open batch enrolling commits, nil if none
+	inflight *syncBatch // batch whose flush runs now, nil if none
+	durable  uint64     // highest position known flushed
+	commits  uint64     // WaitDurable calls acknowledged
+	batches  uint64     // batches closed, each led by one commit
+	syncs    uint64     // fsyncs issued; a batch already covered issues none
+	closed   bool
 }
 
 // NewGroupCommitter builds a committer over prov's recovery log. source
 // returns the replica whose binlog holds the committed events — normally the
 // cluster's current master, so pass MasterSlave.Master to track failovers.
-// window is how long a batch leader waits for company before flushing;
-// larger windows trade commit latency for fewer fsyncs. Zero still
-// coalesces whatever arrived concurrently, it just never waits.
-func NewGroupCommitter(prov *Provisioner, source func() *Replica, window time.Duration) *GroupCommitter {
-	return &GroupCommitter{prov: prov, source: source, window: window}
+func NewGroupCommitter(prov *Provisioner, source func() *Replica) *GroupCommitter {
+	return &GroupCommitter{prov: prov, source: source}
 }
 
 // WaitDurable blocks until the recovery log has flushed position seq,
@@ -83,7 +83,8 @@ func (g *GroupCommitter) WaitDurable(seq uint64) error {
 		return nil
 	}
 	if b := g.cur; b != nil {
-		// A leader is collecting: enroll and wait for its flush.
+		// A leader is waiting out the previous flush: enroll and wait
+		// for the flush it issues next.
 		if seq > b.high {
 			b.high = seq
 		}
@@ -93,15 +94,26 @@ func (g *GroupCommitter) WaitDurable(seq uint64) error {
 	}
 	b := &syncBatch{done: make(chan struct{}), high: seq}
 	g.cur = b
+	prev := g.inflight
 	g.mu.Unlock()
 
-	if g.window > 0 {
-		time.Sleep(g.window)
+	// Only one flush runs at a time. While the previous one does, this
+	// batch stays open and gathers the commits that arrive meanwhile.
+	if prev != nil {
+		<-prev.done
 	}
 
 	g.mu.Lock()
 	g.cur = nil // close enrollment; the next commit leads the next batch
+	g.batches++
 	high := b.high
+	if high <= g.durable {
+		// The previous flush overshot through every position enrolled.
+		g.mu.Unlock()
+		close(b.done)
+		return nil
+	}
+	g.inflight = b
 	g.syncs++
 	g.mu.Unlock()
 
@@ -112,6 +124,7 @@ func (g *GroupCommitter) WaitDurable(seq uint64) error {
 	if b.err == nil && synced > g.durable {
 		g.durable = synced
 	}
+	g.inflight = nil
 	g.mu.Unlock()
 	close(b.done)
 	return b.err
@@ -154,16 +167,17 @@ func (g *GroupCommitter) flush(high uint64) (uint64, error) {
 	return synced, nil
 }
 
-// Stats reports commits acknowledged and fsync batches issued; their ratio
-// is the amortization factor (1.0 = no grouping, higher is better).
+// Stats reports commits acknowledged and fsyncs issued; their ratio is the
+// amortization factor (1.0 = no grouping, higher is better).
 func (g *GroupCommitter) Stats() (commits, syncs uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.commits, g.syncs
 }
 
-// Close fails future WaitDurable calls. An open batch still completes: its
-// leader holds no lock while flushing and reports to its followers normally.
+// Close fails future WaitDurable calls. Open batches still complete: their
+// leaders hold no lock while flushing and report to their followers
+// normally.
 func (g *GroupCommitter) Close() {
 	g.mu.Lock()
 	g.closed = true

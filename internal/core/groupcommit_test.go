@@ -15,7 +15,7 @@ import (
 // GroupCommitter over a disk-backed recovery log. FsyncEvery is set huge so
 // the only fsyncs are the ones group commit issues — the test can then count
 // them exactly.
-func durableMS(tb testing.TB, window time.Duration) (*MasterSlave, *GroupCommitter, *recoverylog.Log) {
+func durableMS(tb testing.TB) (*MasterSlave, *GroupCommitter, *recoverylog.Log) {
 	tb.Helper()
 	rlog, err := recoverylog.Open(tb.TempDir(), recoverylog.Options{FsyncEvery: 1 << 20})
 	if err != nil {
@@ -37,7 +37,7 @@ func durableMS(tb testing.TB, window time.Duration) (*MasterSlave, *GroupCommitt
 			tb.Fatalf("bootstrap %q: %v", sql, err)
 		}
 	}
-	gc := NewGroupCommitter(prov, ms.Master, window)
+	gc := NewGroupCommitter(prov, ms.Master)
 	ms.SetDurability(gc)
 	return ms, gc, rlog
 }
@@ -47,7 +47,7 @@ func durableMS(tb testing.TB, window time.Duration) (*MasterSlave, *GroupCommitt
 // at least 4 acknowledged commits per fsync — while every acknowledged
 // commit is actually on disk (the log head covers the binlog head).
 func TestGroupCommitAmortization(t *testing.T) {
-	ms, gc, rlog := durableMS(t, 500*time.Microsecond)
+	ms, gc, rlog := durableMS(t)
 
 	const writers, perWriter = 16, 25
 	var wg sync.WaitGroup
@@ -100,11 +100,116 @@ func TestGroupCommitAmortization(t *testing.T) {
 	}
 }
 
+// gcState samples the committer's counters and whether a flush is in flight.
+func gcState(gc *GroupCommitter) (commits, batches, syncs uint64, inflight bool) {
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	return gc.commits, gc.batches, gc.syncs, gc.inflight != nil
+}
+
+// waitGC polls the committer until cond holds, failing after a few seconds.
+func waitGC(t *testing.T, gc *GroupCommitter, what string, cond func(commits uint64, inflight bool) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		commits, _, _, inflight := gcState(gc)
+		if cond(commits, inflight) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("group committer never reached: %s (commits=%d inflight=%v)", what, commits, inflight)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGroupCommitBatchesBehindInflightFlush pins the self-clocked protocol
+// without relying on timing: while one leader's flush is stalled on the
+// log's append mutex, K writers commit. The first of them leads a second
+// batch and the rest enroll in it; no one is acked until the stalled flush
+// completes, and then every commit is acked and on disk after exactly two
+// batches. The first flush copied the whole binlog, so the second batch
+// finds its positions covered and issues no fsync of its own.
+func TestGroupCommitBatchesBehindInflightFlush(t *testing.T) {
+	ms, gc, rlog := durableMS(t)
+	const k = 8
+	sessions := make([]*MSSession, k+1)
+	for i := range sessions {
+		sessions[i] = ms.NewSession(fmt.Sprintf("w%d", i))
+		defer sessions[i].Close()
+		if _, err := sessions[i].Exec("USE shop"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, k+1)
+	commit := func(i int) {
+		_, err := sessions[i].Exec(fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'w%d')", i+1, i))
+		errs <- err
+	}
+
+	var release sync.Once
+	unlock := func() { release.Do(gc.prov.appendMu.Unlock) }
+	gc.prov.appendMu.Lock()
+	defer unlock()
+	go commit(0)
+	waitGC(t, gc, "the first leader's flush in flight", func(c uint64, inflight bool) bool { return c == 1 && inflight })
+	for i := 1; i <= k; i++ {
+		go commit(i)
+	}
+	waitGC(t, gc, "every writer enrolled", func(c uint64, _ bool) bool { return c == k+1 })
+	select {
+	case err := <-errs:
+		t.Fatalf("a commit was acked while the flush covering it was stalled (err=%v)", err)
+	default:
+	}
+	unlock()
+
+	for i := 0; i <= k; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if head, bl := rlog.Head(), ms.MasterSeq(); head < bl {
+		t.Fatalf("recovery log head %d behind binlog head %d: acked commits not durable", head, bl)
+	}
+	commits, batches, syncs, _ := gcState(gc)
+	if commits != k+1 || batches != 2 || syncs != 1 {
+		t.Fatalf("commits=%d batches=%d syncs=%d, want %d commits in 2 batches sharing 1 fsync", commits, batches, syncs, k+1)
+	}
+	if n := rlog.SyncCount(); n != 1 {
+		t.Fatalf("recovery log issued %d fsyncs, want 1", n)
+	}
+}
+
+// TestGroupCommitLoneWriterOneFsyncPerCommit checks what a commit with no
+// company pays: one flush of its own and nothing else, since nothing waits
+// for company to arrive.
+func TestGroupCommitLoneWriterOneFsyncPerCommit(t *testing.T) {
+	ms, gc, rlog := durableMS(t)
+	sess := ms.NewSession("solo")
+	defer sess.Close()
+	if _, err := sess.Exec("USE shop"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 1; i <= n; i++ {
+		if _, err := sess.Exec(fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'x')", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commits, batches, syncs, _ := gcState(gc)
+	if commits != n || batches != n || syncs != n {
+		t.Fatalf("commits=%d batches=%d syncs=%d, want %d of each", commits, batches, syncs, n)
+	}
+	if got := rlog.SyncCount(); got != n {
+		t.Fatalf("recovery log issued %d fsyncs for %d lone commits", got, n)
+	}
+}
+
 // TestGroupCommitWatermarkSkipsFlushedPositions checks the fast path: a
 // commit whose position an earlier batch already flushed returns without
 // issuing a new sync batch.
 func TestGroupCommitWatermarkSkipsFlushedPositions(t *testing.T) {
-	ms, gc, _ := durableMS(t, 0)
+	ms, gc, _ := durableMS(t)
 	sess := ms.NewSession("solo")
 	defer sess.Close()
 	if _, err := sess.Exec("USE shop"); err != nil {
@@ -126,7 +231,7 @@ func TestGroupCommitWatermarkSkipsFlushedPositions(t *testing.T) {
 // TestGroupCommitClosed checks the shutdown contract: WaitDurable after
 // Close fails with the typed error instead of hanging or panicking.
 func TestGroupCommitClosed(t *testing.T) {
-	_, gc, _ := durableMS(t, 0)
+	_, gc, _ := durableMS(t)
 	gc.Close()
 	if err := gc.WaitDurable(99); !errors.Is(err, ErrGroupCommitClosed) {
 		t.Fatalf("WaitDurable after Close = %v, want ErrGroupCommitClosed", err)
@@ -134,44 +239,34 @@ func TestGroupCommitClosed(t *testing.T) {
 }
 
 // BenchmarkGroupCommit compares the two durable-commit disciplines on the
-// same INSERT workload: fsync-per-commit (each commit flushes alone, the
-// serial discipline group commit replaces) against group commit under 16
-// concurrent writers sharing flushes. lone-writer-window is one writer
-// under a 200µs window: what a commit with no company pays for the window,
-// which measures about 1.3 ms/op on a 2-core Linux host against about
-// 0.12 ms/op for fsync-per-commit, because a sub-millisecond sleep wakes
-// after about a millisecond there. The reported syncs/op metric is the
-// amortization; recoverylog.syncs_per_commit in go run ./benchmark is the
-// same count end to end.
+// same INSERT workload: fsync-per-commit (one writer, so each commit
+// flushes alone: the serial discipline group commit replaces) against
+// group commit under 16 concurrent writers sharing flushes. The reported
+// syncs/op metric is the amortization; recoverylog.syncs_per_commit in
+// go run ./benchmark is the same count end to end.
 func BenchmarkGroupCommit(b *testing.B) {
 	var nextID atomic.Int64
 	nextID.Store(1 << 20) // clear of any setup rows
 
-	// loneWriter commits from one session, so no commit has company to
-	// wait for: with a window, each one pays the window's sleep in full.
-	loneWriter := func(window time.Duration) func(b *testing.B) {
-		return func(b *testing.B) {
-			ms, gc, rlog := durableMS(b, window)
-			sess := ms.NewSession("bench")
-			defer sess.Close()
-			if _, err := sess.Exec("USE shop"); err != nil {
+	b.Run("fsync-per-commit", func(b *testing.B) {
+		ms, gc, _ := durableMS(b)
+		sess := ms.NewSession("bench")
+		defer sess.Close()
+		if _, err := sess.Exec("USE shop"); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sql := fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'x')", nextID.Add(1))
+			if _, err := sess.Exec(sql); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sql := fmt.Sprintf("INSERT INTO items (id, name) VALUES (%d, 'x')", nextID.Add(1))
-				if _, err := sess.Exec(sql); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportSyncsPerOp(b, gc, rlog)
 		}
-	}
-	b.Run("fsync-per-commit", loneWriter(0))
-	b.Run("lone-writer-window", loneWriter(200*time.Microsecond))
+		b.StopTimer()
+		reportSyncsPerOp(b, gc)
+	})
 	b.Run("group-commit", func(b *testing.B) {
-		ms, gc, rlog := durableMS(b, 200*time.Microsecond)
+		ms, gc, _ := durableMS(b)
 		b.SetParallelism(16)
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -188,14 +283,13 @@ func BenchmarkGroupCommit(b *testing.B) {
 			}
 		})
 		b.StopTimer()
-		reportSyncsPerOp(b, gc, rlog)
+		reportSyncsPerOp(b, gc)
 	})
 }
 
-func reportSyncsPerOp(b *testing.B, gc *GroupCommitter, rlog *recoverylog.Log) {
+func reportSyncsPerOp(b *testing.B, gc *GroupCommitter) {
 	commits, syncs := gc.Stats()
 	if commits > 0 {
 		b.ReportMetric(float64(syncs)/float64(commits), "syncs/op")
 	}
-	_ = rlog
 }

@@ -171,7 +171,7 @@ type durabHolder struct{ w DurabilityWaiter }
 
 // SetDurability installs (or, with nil, removes) the durability gate awaited
 // before commit acknowledgements. DurableCluster wires a GroupCommitter here
-// when a group-commit window is configured.
+// when group commit is on.
 func (ms *MasterSlave) SetDurability(w DurabilityWaiter) {
 	ms.durab.Store(durabHolder{w: w})
 }
@@ -843,6 +843,15 @@ func (ms *MasterSlave) NewSession(user string) *MSSession {
 		level:       ms.cfg.ReadLevel,
 		skipInval:   &ms.skipInval,
 		pinEpoch:    ms.Epoch(),
+		// A new session has observed nothing yet, but its client may have
+		// seen another connection create a database or table: a slave
+		// that has not applied the master's DDL as of the open cannot
+		// serve it, as MMSession.openSeq keeps a lagging home from running
+		// it. The floor is the newest DDL, not the head: under a flash
+		// crowd of new connections, a head floor sends every first read
+		// to the master while busy slaves trail the writes. Read after
+		// the epoch, so a failover in between clamps it.
+		lastReadSeq: ms.Master().Engine().Binlog().LastDDL(),
 	}
 	cs.serializable = ms.Master().Engine().Profile().DefaultIsolation == engine.Serializable
 	return cs
@@ -963,10 +972,10 @@ func (cs *MSSession) execWrite(st sqlparse.Statement, args []sqltypes.Value) (re
 			cs.ms.invalidateThrough(master, seq)
 			// Group commit: hold the acknowledgement until this commit's
 			// position is on disk, sharing the fsync with every commit that
-			// lands in the same window. Rollbacks made nothing durable and
-			// skip the wait. A durability failure is reported even though
-			// the commit executed — the caller cannot be told "durable" when
-			// the log could not confirm it.
+			// lands while the previous fsync runs. Rollbacks made nothing
+			// durable and skip the wait. A durability failure is reported
+			// even though the commit executed — the caller cannot be told
+			// "durable" when the log could not confirm it.
 			if w := cs.ms.durability(); w != nil {
 				if _, rollback := st.(*sqlparse.RollbackTxn); !rollback {
 					if err := w.WaitDurable(seq); err != nil {

@@ -275,7 +275,8 @@ type replicaSession struct {
 	// read-your-writes but not monotonic reads — after a failover (or a
 	// pinned replica dying) the session would be re-routed to any replica
 	// that merely covered its own writes, and could observe a version
-	// OLDER than one it already read.
+	// OLDER than one it already read. A master-slave session starts it
+	// at the master's newest DDL when it opens.
 	lastReadSeq uint64
 	pinned      *Replica // connection-level read pin
 	pinEpoch    uint64

@@ -94,6 +94,7 @@ type Binlog struct {
 	mu       sync.Mutex
 	events   []Event
 	base     uint64 // seq of events[0] minus 1 (events trimmed below base)
+	ddl      uint64 // seq of the newest DDL event, or base after a Reset
 	capacity int
 	subs     map[int]*subscriber
 	nextSub  int
@@ -108,6 +109,9 @@ func newBinlog(capacity int) *Binlog {
 func (b *Binlog) append(ev Event) uint64 {
 	b.mu.Lock()
 	ev.Seq = b.base + uint64(len(b.events)) + 1
+	if ev.DDL {
+		b.ddl = ev.Seq
+	}
 	b.events = append(b.events, ev)
 	if b.capacity > 0 && len(b.events) > b.capacity {
 		drop := len(b.events) - b.capacity
@@ -126,6 +130,15 @@ func (b *Binlog) Head() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.base + uint64(len(b.events))
+}
+
+// LastDDL returns the position of the newest DDL event, or the base of the
+// latest Reset if no DDL followed it: a replica that has applied through
+// it holds every database and table this engine has.
+func (b *Binlog) LastDDL() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.ddl
 }
 
 // ReadFrom returns up to max events with Seq > after. max <= 0 means all.
@@ -158,6 +171,7 @@ func (b *Binlog) Reset(base uint64) {
 	defer b.mu.Unlock()
 	b.events = nil
 	b.base = base
+	b.ddl = base
 }
 
 // Subscribe returns a channel receiving every event appended after the call,

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sqltypes"
@@ -87,15 +88,20 @@ type SequencePos struct {
 }
 
 // Tables returns the distinct "db.table" names touched by the write set.
+// Every master commit's cache invalidation calls it, and a multi-row write
+// repeats one table in every op, so the (db, table) pair is compared first
+// and one name is built per distinct table, not per op.
 func (ws *WriteSet) Tables() []string {
-	seen := make(map[string]bool)
+	type table struct{ db, name string }
+	var seen []table
 	var out []string
 	for _, op := range ws.Ops {
-		key := op.Database + "." + op.Table
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, key)
+		t := table{op.Database, op.Table}
+		if slices.Contains(seen, t) {
+			continue
 		}
+		seen = append(seen, t)
+		out = append(out, op.Database+"."+op.Table)
 	}
 	return out
 }

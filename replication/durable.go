@@ -63,11 +63,11 @@ type DurableConfig struct {
 	ResyncTimeout time.Duration
 	// GroupCommitWindow, when > 0, makes every commit acknowledgement wait
 	// until its position is fsynced into the recovery log — but batched:
-	// commits arriving within the window share one binlog copy and one
-	// fsync (cross-connection group commit, PR 9). The window bounds the
-	// latency each commit may absorb waiting for company. Zero keeps the
-	// seed behaviour: acks do not wait for the log flush (1-safe window =
-	// Log.FsyncEvery).
+	// commits arriving while a flush is in flight share the next binlog
+	// copy and the next fsync (cross-connection group commit, PR 9). The
+	// length is unused: the committer waits for the previous fsync, never
+	// for a timer. Zero keeps the seed behaviour: acks do not wait for the
+	// log flush (1-safe window = Log.FsyncEvery).
 	GroupCommitWindow time.Duration
 }
 
@@ -154,7 +154,7 @@ func OpenDurable(cfg DurableConfig) (*DurableCluster, error) {
 
 	var gc *core.GroupCommitter
 	if cfg.GroupCommitWindow > 0 {
-		gc = core.NewGroupCommitter(prov, ms.Master, cfg.GroupCommitWindow)
+		gc = core.NewGroupCommitter(prov, ms.Master)
 		ms.SetDurability(gc)
 	}
 
